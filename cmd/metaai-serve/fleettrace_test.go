@@ -129,6 +129,11 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 	if _, err := exchange(conn, warm, 2*time.Second, 0, 20*time.Millisecond, 1, src); err != nil {
 		t.Fatal(err)
 	}
+	// A replica counts a reply after writing it: wait for the count to land
+	// before reading which replica served.
+	waitFor(t, "the warmup reply to be counted", func() bool {
+		return reps[0].srv.served.Load()+reps[1].srv.served.Load() > 0
+	})
 	primary := 0
 	if reps[1].srv.served.Load() > 0 {
 		primary = 1

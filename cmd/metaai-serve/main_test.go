@@ -60,6 +60,20 @@ func startServer(t *testing.T, srv *airServer) (*net.UDPAddr, func()) {
 	}
 }
 
+// waitServed waits for srv's served counter to settle and fails unless it
+// reads exactly want. A worker counts a reply only after writing it, so a
+// client holding its last reply can see the count one short for a moment.
+func waitServed(t *testing.T, srv *airServer, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.served.Load() != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := srv.served.Load(); got != want {
+		t.Fatalf("served %d data frames, want %d", got, want)
+	}
+}
+
 func dialServer(t *testing.T, addr *net.UDPAddr) *net.UDPConn {
 	t.Helper()
 	conn, err := net.DialUDP("udp", nil, addr)
@@ -141,9 +155,7 @@ func TestServeHotSwapZeroRequestLoss(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := srv.served.Load(); got != clients*perClient {
-		t.Fatalf("served %d data frames, want %d", got, clients*perClient)
-	}
+	waitServed(t, srv, clients*perClient)
 	if srv.shed.Load() != 0 {
 		t.Fatalf("server shed %d requests under a within-queue load", srv.shed.Load())
 	}

@@ -871,9 +871,7 @@ func (s *airServer) processBatch(conn udpWriter, w int, sc *workerScratch) {
 		servedCount.Inc()
 		r.t.ObserveInto(reqSeconds)
 		r.span.Finish(0)
-		if total := s.served.Add(1); total%50 == 0 {
-			s.cfg.logf("served %d transmissions", total)
-		}
+		s.served.Add(1)
 	}
 }
 

@@ -30,6 +30,9 @@ type Session struct {
 	// AccumulateInto allocates nothing.
 	chSrc *rng.Source
 	rz    channel.Realization
+	// row holds the current class's offset-shifted schedule row
+	// (scheduleRow), built once per class under a nonzero clock offset.
+	row []complex128
 }
 
 // FaultHook intercepts a Session's per-symbol physics to inject discrete
@@ -163,8 +166,8 @@ func (s *Session) AccumulateBatch(xs [][]complex128, dst []cplx.Vec) []cplx.Vec 
 // per-class replay spans hung under asp when tracing is live. Each class
 // replay re-seeds the session's scratch channel source and realization in
 // place — draw-for-draw what freshly split/allocated ones would consume —
-// then dispatches to the fast replay loop when no per-symbol overhead is
-// required, or to the general loop otherwise.
+// then dispatches to the fast replay loop, or to the general loop when a
+// fault hook or exact jitter needs per-symbol work.
 func (s *Session) accumulate(x []complex128, dst cplx.Vec, asp *trace.Span) {
 	d := s.d
 	for r := 0; r < d.classes; r++ {
@@ -191,8 +194,8 @@ func (s *Session) accumulate(x []complex128, dst cplx.Vec, asp *trace.Span) {
 			offset = d.opts.SyncSampler(s.src)
 		}
 		var sum complex128
-		if s.hook == nil && offset == 0 && !(d.opts.ExactJitter && d.opts.JitterStd > 0) {
-			sum = s.fastReplay(r, x, rz)
+		if s.hook == nil && !d.exactJitter() {
+			sum = s.fastReplay(r, x, rz, offset)
 		} else {
 			sum = s.slowReplay(r, x, rz, offset)
 		}
@@ -205,38 +208,25 @@ func (s *Session) accumulate(x []complex128, dst cplx.Vec, asp *trace.Span) {
 	}
 }
 
-// fastReplay is the per-symbol loop for the common perfectly synchronized,
-// unhooked case (offset 0, no exact jitter): the schedule row is read by
-// direct index — no Floor, no modulo — per-symbol channel state comes from
-// one fused Realization.Step call, and noise/jitter draws use the hoisted
-// standard deviations. When the deployment's static-channel cache is valid
-// (staticOK), the composed response row is a precomputed flat slice and the
-// loop is a straight multiply-add. Every variant consumes the session and
-// realization streams in the general path's per-source order and keeps its
-// exact floating-point grouping, so accumulators are bit-identical to
-// slowReplay's.
-func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) complex128 {
+// fastReplay is the per-symbol loop for every unhooked replay without exact
+// jitter, whatever its clock offset: the offset is folded into one shifted
+// schedule row per class (scheduleRow), so the loop reads the row by direct
+// index. Per-symbol channel state comes from one fused Realization.Step
+// call, and noise/jitter draws use the hoisted standard deviations. With
+// multi-sampling the environment term cancels, so on a static MTS path
+// (no Doppler, no R4 blockage) the scale is the realization's constant
+// MTSPhase and Step is skipped: its only draws are scatter samples from the
+// per-class channel source, which is re-seeded from the session stream
+// every class and whose values this branch would discard. When the
+// deployment's static-channel cache is valid (staticOK, which implies no
+// sync sampler), the composed response row is a precomputed flat slice and
+// the loop is a straight multiply-add. Every variant consumes the session
+// stream in the general path's order and keeps its exact floating-point
+// grouping, so accumulators are bit-identical to slowReplay's.
+func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization, offset float64) complex128 {
 	d := s.d
 	noiseSD := d.noiseSD
 	var sum complex128
-	if d.opts.SubSamples > 0 {
-		row := d.Realized.Data[r*d.u : (r+1)*d.u]
-		if d.opts.JitterStd > 0 {
-			jatt, jsd := complex(d.jitterAtt, 0), d.jitterSD
-			for i, xi := range x {
-				_, scale := rz.Step(i)
-				h := (row[i]*jatt + s.src.ComplexNormalSD(jsd)) * scale
-				sum += h*xi + s.src.ComplexNormalSD(noiseSD)
-			}
-		} else {
-			for i, xi := range x {
-				_, scale := rz.Step(i)
-				sum += (row[i]*scale)*xi + s.src.ComplexNormalSD(noiseSD)
-			}
-		}
-		return sum
-	}
-	envScale := complex(d.envScale, 0)
 	if d.staticOK {
 		// Static-channel epoch: the cached row already carries the pinned
 		// calibrated MTS phase, so only the environmental term and noise
@@ -244,6 +234,7 @@ func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) com
 		// blockage Bernoulli, so the per-symbol channel state is exactly the
 		// scatter draw(s) — inlined here with Step's draw order and
 		// floating-point grouping, leaving a straight multiply-add loop.
+		envScale := complex(d.envScale, 0)
 		row := d.staticResp[r*d.u : (r+1)*d.u]
 		base := rz.Base()
 		scatSD := rz.ScatterSD()
@@ -264,7 +255,30 @@ func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) com
 		}
 		return sum
 	}
-	row := d.Realized.Data[r*d.u : (r+1)*d.u]
+	row := s.scheduleRow(r, offset)
+	if d.opts.SubSamples > 0 {
+		scale := rz.MTSPhase()
+		step := !d.opts.Channel.StaticMTSPath()
+		if d.opts.JitterStd > 0 {
+			jatt, jsd := complex(d.jitterAtt, 0), d.jitterSD
+			for i, xi := range x {
+				if step {
+					_, scale = rz.Step(i)
+				}
+				h := (row[i]*jatt + s.src.ComplexNormalSD(jsd)) * scale
+				sum += h*xi + s.src.ComplexNormalSD(noiseSD)
+			}
+		} else {
+			for i, xi := range x {
+				if step {
+					_, scale = rz.Step(i)
+				}
+				sum += (row[i]*scale)*xi + s.src.ComplexNormalSD(noiseSD)
+			}
+		}
+		return sum
+	}
+	envScale := complex(d.envScale, 0)
 	if d.opts.JitterStd > 0 {
 		jatt, jsd := complex(d.jitterAtt, 0), d.jitterSD
 		for i, xi := range x {
@@ -281,14 +295,32 @@ func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) com
 	return sum
 }
 
-// slowReplay is the general per-symbol loop: fault hooks, clock offsets,
-// and exact jitter all route here. It is the seed implementation verbatim.
+// slowReplay is the general per-symbol loop, reached only by fault hooks
+// and exact jitter. It reads the same shifted schedule row as fastReplay
+// (exact jitter evaluates the scheduled configurations atom by atom
+// instead) and keeps the seed's per-symbol channel calls, scatter draws
+// included, so a hook that perturbs nothing reproduces the unhooked
+// accumulators bit for bit.
 func (s *Session) slowReplay(r int, x []complex128, rz *channel.Realization, offset float64) complex128 {
 	d := s.d
 	noise2 := d.noise2
+	exact := d.exactJitter()
+	var row []complex128
+	if !exact {
+		row = s.scheduleRow(r, offset)
+	}
 	var sum complex128
 	for i := range x {
-		h := s.effectiveResponse(r, i, offset) * rz.MTSScaleAt(i)
+		var h complex128
+		if exact {
+			h = s.effectiveResponse(r, i, offset)
+		} else {
+			h = row[i]
+			if d.opts.JitterStd > 0 {
+				h = h*complex(d.jitterAtt, 0) + s.src.ComplexNormalSD(d.jitterSD)
+			}
+		}
+		h *= rz.MTSScaleAt(i)
 		xi := x[i]
 		var extra complex128
 		if s.hook != nil {
@@ -311,54 +343,75 @@ func (s *Session) slowReplay(r int, x []complex128, rz *channel.Realization, off
 	return sum
 }
 
+// scheduleRow returns class r's realized schedule row as the data stream
+// sees it under a clock offset (in symbols): data symbol i meets entry
+// i−⌊offset⌋ (wrapping around the row), and a fractional part f mixes that
+// entry with the one before it in proportion to their time overlap. Offset
+// 0 returns the realized row itself; any other offset builds the row once
+// into the session's scratch, walking the two source indices instead of
+// wrapping per symbol. Each entry is the blend expression of the seed's
+// per-symbol arithmetic — a plain rotation when f < 1e-9 — so it carries
+// the same bits.
+func (s *Session) scheduleRow(r int, offset float64) []complex128 {
+	u := s.d.u
+	src := s.d.Realized.Data[r*u : (r+1)*u]
+	if offset == 0 {
+		return src
+	}
+	if len(s.row) != u {
+		s.row = make([]complex128, u)
+	}
+	row := s.row
+	base := math.Floor(offset)
+	frac := offset - base
+	i0 := wrapIdx(-int(base), u)
+	if frac < 1e-9 {
+		n := copy(row, src[i0:])
+		copy(row[n:], src[:i0])
+		return row
+	}
+	i1 := wrapIdx(i0-1, u)
+	w0, w1 := complex(1-frac, 0), complex(frac, 0)
+	for i := range row {
+		row[i] = src[i0]*w0 + src[i1]*w1
+		if i0++; i0 == u {
+			i0 = 0
+		}
+		if i1++; i1 == u {
+			i1 = 0
+		}
+	}
+	return row
+}
+
 // wrapIdx reduces k into [0, n) with Euclidean wrap-around — the schedule
-// index under a clock offset. A plain function (not a closure) keeps the
-// offset path allocation-free.
+// index under a clock offset.
 func wrapIdx(k, n int) int {
 	return ((k % n) + n) % n
 }
 
-// effectiveResponse returns the MTS response seen by data symbol i of output
-// r under a schedule/data clock offset (in symbols): an offset with
-// fractional part f mixes the two adjacent schedule entries in proportion to
-// their time overlap, and jitter perturbs the response per reconfiguration.
+// exactJitter reports whether replays evaluate per-atom phase jitter atom by
+// atom (Options.ExactJitter with a nonzero JitterStd).
+func (d *Deployment) exactJitter() bool {
+	return d.opts.ExactJitter && d.opts.JitterStd > 0
+}
+
+// effectiveResponse returns the exact-jitter MTS response seen by data
+// symbol i of output r under a schedule/data clock offset (in symbols): the
+// scheduled configuration(s) are re-evaluated atom by atom with fresh phase
+// jitter — composed per layer when a cascade is deployed — and an offset
+// with fractional part f mixes the two adjacent entries in proportion to
+// their time overlap, as scheduleRow does for the closed-form path.
 func (s *Session) effectiveResponse(r, i int, offset float64) complex128 {
 	d := s.d
-	if offset == 0 && !(d.opts.ExactJitter && d.opts.JitterStd > 0) {
-		// Perfectly synchronized: Floor(0) = 0 and the fractional blend
-		// vanishes, so the response is the directly indexed schedule entry
-		// (plus jitter). Bit-identical to the general arithmetic below at
-		// offset 0 — pinned by TestEffectiveResponseFastPathBitIdentical.
-		h := d.Realized.At(r, i)
-		if d.opts.JitterStd > 0 {
-			h = h*complex(d.jitterAtt, 0) + s.src.ComplexNormalSD(d.jitterSD)
-		}
-		return h
-	}
 	base := math.Floor(offset)
 	frac := offset - base
 	i0 := wrapIdx(i-int(base), d.u)
-	if d.opts.ExactJitter && d.opts.JitterStd > 0 {
-		// Atom-by-atom jitter on the actual scheduled configuration(s) —
-		// composed per layer when a cascade is deployed.
-		h := d.exactJitterResponse(r, i0, s.src)
-		if frac >= 1e-9 {
-			i1 := wrapIdx(i-int(base)-1, d.u)
-			h1 := d.exactJitterResponse(r, i1, s.src)
-			h = h*complex(1-frac, 0) + h1*complex(frac, 0)
-		}
-		return h
-	}
-	h0 := d.Realized.At(r, i0)
-	var h complex128
-	if frac < 1e-9 {
-		h = h0
-	} else {
-		h1 := d.Realized.At(r, wrapIdx(i-int(base)-1, d.u))
-		h = h0*complex(1-frac, 0) + h1*complex(frac, 0)
-	}
-	if d.opts.JitterStd > 0 {
-		h = h*complex(d.jitterAtt, 0) + s.src.ComplexNormalSD(d.jitterSD)
+	h := d.exactJitterResponse(r, i0, s.src)
+	if frac >= 1e-9 {
+		i1 := wrapIdx(i-int(base)-1, d.u)
+		h1 := d.exactJitterResponse(r, i1, s.src)
+		h = h*complex(1-frac, 0) + h1*complex(frac, 0)
 	}
 	return h
 }

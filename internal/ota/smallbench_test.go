@@ -45,15 +45,14 @@ func BenchmarkSmallAccumulateInto(b *testing.B) {
 	}
 }
 
-// The same workload forced through the general replay loop (a constant
-// sync offset below the blend epsilon — physically identical clock, slow
-// arithmetic). The delta against BenchmarkSmallAccumulateInto is the
-// effectiveResponse/fastReplay fast-path gain; the bit-identity of the two
-// is pinned by TestEffectiveResponseFastPathBitIdentical.
+// The same workload forced through the general replay loop by a
+// passthrough fault hook (identical physics, per-symbol channel calls). The
+// delta against BenchmarkSmallAccumulateInto is the fastReplay gain; the
+// bit-identity of the two is pinned by
+// TestFastReplayBitIdenticalToGeneralLoop.
 func BenchmarkSmallAccumulateSlowPath(b *testing.B) {
-	sess, x := smallSession(b, func(o *Options) {
-		o.SyncSampler = func(*rng.Source) float64 { return 1e-12 }
-	})
+	sess, x := smallSession(b, nil)
+	sess.SetFaultHook(passthroughHook{})
 	dst := make(cplx.Vec, sess.Deployment().Classes())
 	b.ReportAllocs()
 	b.ResetTimer()
