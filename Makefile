@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
+.PHONY: build fmt test race vet fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any Go file, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -122,13 +126,13 @@ chaosgate:
 	$(GO) test -count=1 -run 'TestZeroRateBitIdentity|TestZeroRateLanePassthrough' ./internal/netchaos
 	$(GO) test -race -count=1 -run 'TestChaosGate' -short ./cmd/metaai-serve
 
-# check is the full gate: vet, plain tests, the race detector over the
+# check is the full gate: gofmt, vet, plain tests, the race detector over the
 # concurrent evaluator, sweeps, and serve paths, the airproto and checkpoint
 # fuzz smokes, the abl-faults zero-rate identity gate, the crash-recovery
 # gate, the cascade K=1 compatibility gate, the fleet failover/replication
 # smoke, the bad-network chaos soak smoke, and the obs/bench/trace/stitch
 # determinism gates.
-check: vet test race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
+check: fmt vet test race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
 
 # bench runs the Go micro-benchmarks, then the serve-path observability
 # benchmark, which snapshots its metrics into BENCH_serve.json. Emit-only:

@@ -176,7 +176,7 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 
 	fetch := func() []byte {
 		t.Helper()
-		treq := airproto.TraceRequest(uint64(tid))
+		treq := airproto.TraceRequest(7, uint64(tid))
 		treq.Code = airproto.TraceFlagNormalize
 		resp, err := exchange(conn, treq, 2*time.Second, 0, 20*time.Millisecond, 3, src)
 		if err != nil {
@@ -185,10 +185,7 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 		if resp.Kind != airproto.KindTrace || resp.IsNack() {
 			t.Fatalf("stitched trace fetch answered kind %d code %d", resp.Kind, resp.Code)
 		}
-		if resp.Code == airproto.StatusNoTrace {
-			t.Fatal("stitched trace was truncated")
-		}
-		return airproto.UnpackBytes(resp.Data, int(resp.Label))
+		return resp.Body()
 	}
 	doc := fetch()
 	if again := fetch(); !bytes.Equal(doc, again) {
@@ -221,8 +218,8 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 	}
 
 	var rootID string
-	hops := make(map[string]map[string]any)      // span_id -> args
-	outcomes := make(map[string]map[string]any)  // outcome -> args
+	hops := make(map[string]map[string]any)     // span_id -> args
+	outcomes := make(map[string]map[string]any) // outcome -> args
 	var serves []map[string]any
 	for _, ev := range parsed.TraceEvents {
 		switch ev.Name {
@@ -407,7 +404,7 @@ func TestRouterControlPlaneSurvivesChaosAndSaturation(t *testing.T) {
 	}
 
 	// And a trace fetch through the same drowning front must still answer.
-	treq := airproto.TraceRequest(uint64(tid))
+	treq := airproto.TraceRequest(7, uint64(tid))
 	treq.Code = airproto.TraceFlagNormalize
 	resp, err := exchange(statsConn, treq, 2*time.Second, 0, 20*time.Millisecond, 8, statsSrc)
 	if err != nil {
@@ -416,7 +413,7 @@ func TestRouterControlPlaneSurvivesChaosAndSaturation(t *testing.T) {
 	if resp.Kind != airproto.KindTrace || resp.IsNack() {
 		t.Fatalf("trace fetch answered kind %d code %d", resp.Kind, resp.Code)
 	}
-	if body := airproto.UnpackBytes(resp.Data, int(resp.Label)); !bytes.Contains(body, []byte(`"fleet.request"`)) {
+	if body := resp.Body(); !bytes.Contains(body, []byte(`"fleet.request"`)) {
 		t.Fatalf("trace fetched under chaos lacks the fleet.request root:\n%s", body)
 	}
 }

@@ -51,10 +51,10 @@ import (
 
 	metaai "repro"
 
+	"repro/internal/admission"
 	"repro/internal/airproto"
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
-	"repro/internal/admission"
 	"repro/internal/faults"
 	"repro/internal/mobility"
 	"repro/internal/netchaos"

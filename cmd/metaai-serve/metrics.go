@@ -33,19 +33,22 @@ import (
 //	serve.swaps            epochs published after the first
 //	serve.canary_rejects   heal candidates rejected by the canary gate
 //	serve.rollbacks        published heals rolled back by the supervisor
+//	serve.trace_too_large  trace fetches answered StatusTooLarge because the
+//	                       export would not fit one datagram
 var (
-	reqSeconds        = obs.NewLatencyHistogram("serve.request.seconds")
-	queueDepth        = obs.NewGauge("serve.queue.depth")
-	servedCount       = obs.NewCounter("serve.served")
-	shedCount         = obs.NewCounter("serve.shed")
-	brownoutShedCount = obs.NewCounter("serve.brownout_shed")
-	expiredCount      = obs.NewCounter("serve.expired")
-	admitFraction     = obs.NewGauge("serve.admit_fraction")
-	nackedCount       = obs.NewCounter("serve.nacked")
-	healCount         = obs.NewCounter("serve.heals")
-	swapCount         = obs.NewCounter("serve.swaps")
-	canaryRejectCount = obs.NewCounter("serve.canary_rejects")
-	rollbackCount     = obs.NewCounter("serve.rollbacks")
+	reqSeconds         = obs.NewLatencyHistogram("serve.request.seconds")
+	queueDepth         = obs.NewGauge("serve.queue.depth")
+	servedCount        = obs.NewCounter("serve.served")
+	shedCount          = obs.NewCounter("serve.shed")
+	brownoutShedCount  = obs.NewCounter("serve.brownout_shed")
+	expiredCount       = obs.NewCounter("serve.expired")
+	admitFraction      = obs.NewGauge("serve.admit_fraction")
+	nackedCount        = obs.NewCounter("serve.nacked")
+	healCount          = obs.NewCounter("serve.heals")
+	swapCount          = obs.NewCounter("serve.swaps")
+	canaryRejectCount  = obs.NewCounter("serve.canary_rejects")
+	rollbackCount      = obs.NewCounter("serve.rollbacks")
+	traceTooLargeCount = obs.NewCounter("serve.trace_too_large")
 )
 
 // Probe-side counters. The retry/backoff and stale-drain paths used to be

@@ -110,13 +110,17 @@ func TestOverloadShedExpireAndControlPlane(t *testing.T) {
 
 	// Control plane is pre-admission AND pre-queue: a stats fetch answers
 	// even with the queue full and the worker pinned.
-	sendFrame(t, conn, &airproto.Frame{Kind: airproto.KindStats, ID: 90})
+	sendFrame(t, conn, airproto.StatsRequest(90))
 	stats := readFrame(t, conn)
-	if stats.Kind != airproto.KindStats || len(stats.Data) < airproto.StatsVectorLen {
+	if stats.Kind != airproto.KindStats {
 		t.Fatalf("stats under full queue answered with kind=%d", stats.Kind)
 	}
-	if got := int64(real(stats.Data[airproto.StatShed])); got != 2 {
-		t.Fatalf("StatShed reports %d, want 2", got)
+	snap, err := obs.DecodeSnapshot(stats.Body())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["serve.shed"]; got != 2 {
+		t.Fatalf("stats report serve.shed %d, want 2", got)
 	}
 
 	// Let the deadline budgets die, then release the worker. Request 1 (no
@@ -176,7 +180,7 @@ func TestOverloadShedExpireAndControlPlane(t *testing.T) {
 	if got := srv.shed.Load(); got != int64(retryAfters)+2 {
 		t.Fatalf("shed counter %d, want brownout %d + queue-full 2", got, retryAfters)
 	}
-	sendFrame(t, conn, &airproto.Frame{Kind: airproto.KindStats, ID: 91})
+	sendFrame(t, conn, airproto.StatsRequest(91))
 	stats = readFrame(t, conn)
 	if stats.Kind != airproto.KindStats {
 		t.Fatalf("stats during brownout answered with kind=%d code=%d", stats.Kind, stats.Code)

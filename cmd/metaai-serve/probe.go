@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	metaai "repro"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/netchaos"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/rng"
 )
@@ -125,27 +127,22 @@ func runProbe(addr string, opt probeOptions) error {
 
 // fetchTrace asks the server for a retained trace by 64-bit hex ID (an
 // airproto KindTrace exchange) and prints the Chrome trace-event JSON the
-// server packed into the reply. A StatusNoTrace NACK means the ring never
-// retained — or has since evicted — that ID.
+// server sent back. A StatusNoTrace NACK means the ring never retained —
+// or has since evicted — that ID; a StatusTooLarge NACK means the export
+// does not fit one datagram.
 func fetchTrace(conn probeConn, idHex string, timeout, budget time.Duration, src *rng.Source) error {
 	id, err := trace.ParseID(idHex)
 	if err != nil {
 		return fmt.Errorf("bad trace id %q: %w", idHex, err)
 	}
-	resp, err := exchange(conn, airproto.TraceRequest(uint64(id)), timeout, budget, probeBackoffBase, probeAttempts, src)
+	resp, err := exchange(conn, airproto.TraceRequest(1, uint64(id)), timeout, budget, probeBackoffBase, probeAttempts, src)
 	if err != nil {
 		return fmt.Errorf("trace fetch %s: %w", idHex, err)
 	}
 	if resp.Kind != airproto.KindTrace {
 		return fmt.Errorf("malformed trace reply (kind %d)", resp.Kind)
 	}
-	body := airproto.UnpackBytes(resp.Data, int(resp.Label))
-	if resp.Code == airproto.StatusNoTrace {
-		// The full export did not fit one datagram: the server truncated at
-		// MaxTraceBytes. Say so on stderr; the (cut) JSON still goes out.
-		log.Printf("probe: trace %s truncated to %d bytes by the wire format", idHex, len(body))
-	}
-	fmt.Println(string(body))
+	fmt.Println(string(resp.Body()))
 	return nil
 }
 
@@ -217,52 +214,63 @@ func probeStats(conn probeConn, symbols []complex128, n int, timeout, budget, de
 
 // serverStats asks the server for its serving counters over the wire (an
 // airproto KindStats exchange) — heal, rollback, and epoch visibility
-// without attaching the HTTP sidecar. The reply's Code carries the stats
-// vector version: a StatsVersionFleet reply (the fleet router answering for
-// the whole fleet) additionally yields the fleet map — router counters,
-// merged p99, SLO burn rates, and one health score per live replica. Older
-// servers and plain replicas yield fleet == nil; versions only ever append
-// slots, so the legacy indexes decode identically from every version.
+// without attaching the HTTP sidecar. The reply body is an obs snapshot; a
+// snapshot carrying the fleet.replicas.live gauge comes from the fleet
+// router answering for the whole fleet and additionally yields the fleet
+// map — router counters, merged p99, SLO burn rates, and one health score
+// per live replica in name order. Plain replicas yield fleet == nil.
 func serverStats(conn probeConn, id uint32, timeout, budget time.Duration, src *rng.Source) (map[string]int64, map[string]any, error) {
-	resp, err := exchange(conn, &airproto.Frame{Kind: airproto.KindStats, ID: id}, timeout, budget, probeBackoffBase, probeAttempts, src)
+	resp, err := exchange(conn, airproto.StatsRequest(id), timeout, budget, probeBackoffBase, probeAttempts, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if resp.Kind != airproto.KindStats || len(resp.Data) < airproto.StatsVectorLen {
-		return nil, nil, fmt.Errorf("malformed stats reply (kind %d, %d values)", resp.Kind, len(resp.Data))
+	if resp.Kind != airproto.KindStats {
+		return nil, nil, fmt.Errorf("malformed stats reply (kind %d)", resp.Kind)
 	}
-	at := func(i int) int64 { return int64(real(resp.Data[i])) }
-	legacy := map[string]int64{
-		"served":         at(airproto.StatServed),
-		"heals":          at(airproto.StatHeals),
-		"swaps":          at(airproto.StatSwaps),
-		"rollbacks":      at(airproto.StatRollbacks),
-		"canary_rejects": at(airproto.StatCanaryRejects),
-		"epoch_seq":      at(airproto.StatEpochSeq),
-		"shed":           at(airproto.StatShed),
-		"expired":        at(airproto.StatExpired),
+	snap, err := obs.DecodeSnapshot(resp.Body())
+	if err != nil {
+		return nil, nil, fmt.Errorf("malformed stats reply: %w", err)
 	}
-	if resp.Code < airproto.StatsVersionFleet || len(resp.Data) < airproto.FleetStatsVectorLen {
-		return legacy, nil, nil
+	c, g := snap.Counters, snap.Gauges
+	server := map[string]int64{
+		"served":         c["serve.served"],
+		"heals":          c["serve.heals"],
+		"swaps":          c["serve.swaps"],
+		"rollbacks":      c["serve.rollbacks"],
+		"canary_rejects": c["serve.canary_rejects"],
+		"epoch_seq":      int64(g["serve.epoch_seq"]),
+		"shed":           c["serve.shed"],
+		"expired":        c["serve.expired"],
 	}
-	health := make([]float64, 0, len(resp.Data)-airproto.FleetStatsVectorLen)
-	for _, v := range resp.Data[airproto.FleetStatsVectorLen:] {
-		health = append(health, real(v))
+	live, ok := g["fleet.replicas.live"]
+	if !ok {
+		return server, nil, nil
+	}
+	var names []string
+	for name := range g {
+		if strings.HasPrefix(name, "fleet.health.") {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	health := make([]float64, len(names))
+	for i, name := range names {
+		health[i] = g[name]
 	}
 	fleetStats := map[string]any{
-		"live":        at(airproto.FleetStatLive),
-		"replicas":    at(airproto.FleetStatReplicas),
-		"forwards":    at(airproto.FleetStatForwards),
-		"failovers":   at(airproto.FleetStatFailovers),
-		"hedged_wins": at(airproto.FleetStatHedgedWins),
-		"shed":        at(airproto.FleetStatShed),
-		"expired":     at(airproto.FleetStatExpired),
-		"p99_micros":  real(resp.Data[airproto.FleetStatP99Micros]),
-		"burn_fast":   real(resp.Data[airproto.FleetStatBurnFast]),
-		"burn_slow":   real(resp.Data[airproto.FleetStatBurnSlow]),
+		"live":        int64(live),
+		"replicas":    int64(len(health)),
+		"forwards":    c["fleet.forwards"],
+		"failovers":   c["fleet.failovers"],
+		"hedged_wins": c["fleet.hedged_wins"],
+		"shed":        c["fleet.shed"],
+		"expired":     c["fleet.expired"],
+		"p99_micros":  g["fleet.request.p99_micros"],
+		"burn_fast":   g["fleet.burn.fast"],
+		"burn_slow":   g["fleet.burn.slow"],
 		"health":      health,
 	}
-	return legacy, fleetStats, nil
+	return server, fleetStats, nil
 }
 
 // exchange sends req and waits for THE MATCHING response: a reply whose ID
@@ -274,8 +282,9 @@ func serverStats(conn probeConn, id uint32, timeout, budget time.Duration, src *
 // is retryable but floors the next backoff at the server's hint (the
 // brownout told us exactly how long it wants us gone), and StatusExpired is
 // retryable with a fresh deadline budget (the old one died in a queue, not
-// the request itself); StatusWrongLen, StatusNoTrace, and StatusBadFrame
-// mean the request itself cannot succeed and retrying won't help. Each
+// the request itself); StatusWrongLen, StatusNoTrace, StatusTooLarge, and
+// StatusBadFrame mean the request itself cannot succeed and retrying won't
+// help. Each
 // attempt after the first is preceded by a FULL-jitter exponential backoff
 // delay — uniform in [0, base·2^(k−1)), drawn from a source derived from
 // the caller's seed and the request ID so replays are exact — and counted
@@ -355,6 +364,8 @@ func exchange(conn probeConn, req *airproto.Frame, timeout, budget, backoffBase 
 				return nil, fmt.Errorf("server rejected frame: deployed for U=%d symbols, sent %d", resp.Label, len(req.Data))
 			case airproto.StatusNoTrace:
 				return nil, fmt.Errorf("server retains no such trace (sampled out, evicted, or never recorded)")
+			case airproto.StatusTooLarge:
+				return nil, fmt.Errorf("reply of %d bytes does not fit one datagram", resp.Label)
 			default:
 				return nil, fmt.Errorf("server rejected frame as malformed (status %d)", resp.Code)
 			}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/airproto"
 	"repro/internal/checkpoint"
+	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/rng"
 )
 
@@ -144,5 +147,35 @@ func TestProbeStatsReadsServerCounters(t *testing.T) {
 		if stats[k] != v {
 			t.Fatalf("server stats[%q] = %d, want %d (full: %v)", k, stats[k], v, stats)
 		}
+	}
+}
+
+// TestProbeTraceTooLargeIsError: a retained trace whose export cannot fit
+// one datagram is answered with a StatusTooLarge NACK carrying its length —
+// never a cut, unparseable document — counted in serve.trace_too_large, and
+// the probe reports it as an error instead of printing anything.
+func TestProbeTraceTooLargeIsError(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	tracer := &trace.Tracer{}
+	tracer.Enable(8, 1.0)
+	id := trace.Derive(0x700b16)
+	sp := tracer.Start("serve.request", id)
+	sp.SetStr("pad", strings.Repeat("x", airproto.MaxDatagram))
+	sp.Finish(0)
+
+	d := testDeployment(t, 72)
+	srv := newAirServer(serverConfig{deployment: d, sessionSrc: rng.New(5), logf: t.Logf, tracer: tracer})
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+	conn := dialServer(t, addr)
+
+	before := traceTooLargeCount.Value()
+	err := fetchTrace(conn, id.String(), 2*time.Second, 0, rng.New(6))
+	if err == nil || !strings.Contains(err.Error(), "does not fit one datagram") {
+		t.Fatalf("oversize trace fetch returned %v, want a too-large error", err)
+	}
+	if got := traceTooLargeCount.Value() - before; got != 1 {
+		t.Fatalf("serve.trace_too_large advanced by %d, want 1", got)
 	}
 }

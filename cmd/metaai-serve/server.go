@@ -388,19 +388,24 @@ func (s *airServer) checkRollback() {
 	s.publish(w.prev, "rollback", w.hid)
 }
 
-// statsFrame answers a KindStats request: the serving counters and current
-// epoch sequence, as the real parts of a StatsVector-indexed vector.
+// statsFrame answers a KindStats request with an obs.EncodeSnapshot blob
+// of THIS server's serving counters and current epoch sequence — built
+// from its own atomics rather than the process-wide registry, which
+// in-process fleets share and which is inert while obs is disabled.
 func (s *airServer) statsFrame(id uint32) *airproto.Frame {
-	data := make([]complex128, airproto.StatsVectorLen)
-	data[airproto.StatServed] = complex(float64(s.served.Load()), 0)
-	data[airproto.StatHeals] = complex(float64(s.heals.Load()), 0)
-	data[airproto.StatSwaps] = complex(float64(s.swaps.Load()), 0)
-	data[airproto.StatRollbacks] = complex(float64(s.rollbacks.Load()), 0)
-	data[airproto.StatCanaryRejects] = complex(float64(s.canaryRejects.Load()), 0)
-	data[airproto.StatEpochSeq] = complex(float64(s.epochSeq.Load()), 0)
-	data[airproto.StatShed] = complex(float64(s.shed.Load()), 0)
-	data[airproto.StatExpired] = complex(float64(s.expired.Load()), 0)
-	return &airproto.Frame{Kind: airproto.KindStats, Code: airproto.StatsVersionReplica, ID: id, Data: data}
+	snap := obs.Snapshot{
+		Counters: map[string]int64{
+			"serve.served":         s.served.Load(),
+			"serve.heals":          s.heals.Load(),
+			"serve.swaps":          s.swaps.Load(),
+			"serve.rollbacks":      s.rollbacks.Load(),
+			"serve.canary_rejects": s.canaryRejects.Load(),
+			"serve.shed":           s.shed.Load(),
+			"serve.expired":        s.expired.Load(),
+		},
+		Gauges: map[string]float64{"serve.epoch_seq": float64(s.epochSeq.Load())},
+	}
+	return airproto.StatsReply(id, obs.EncodeSnapshot(snap))
 }
 
 // healthVector supplies the gauges a fleet heartbeat reply carries: the
@@ -408,17 +413,17 @@ func (s *airServer) statsFrame(id uint32) *airproto.Frame {
 // convergence variable — the local journal epoch, queue pressure, and the
 // serving counters. Every read is an atomic load, so the read loop answers
 // heartbeats without touching a lock.
-func (s *airServer) healthVector() []float64 {
-	hv := make([]float64, airproto.HBVectorLen)
+func (s *airServer) healthVector() []uint64 {
+	hv := make([]uint64, airproto.HBVectorLen)
 	fleetSeq, fleetNonce := s.fleetAgent.FleetVersion()
-	hv[airproto.HBFleetSeq] = float64(fleetSeq)
-	hv[airproto.HBFleetNonce] = float64(fleetNonce)
-	hv[airproto.HBEpochSeq] = float64(s.epochSeq.Load())
-	hv[airproto.HBQueueDepth] = float64(s.inflight.Load())
-	hv[airproto.HBServed] = float64(s.served.Load())
-	hv[airproto.HBShed] = float64(s.shed.Load())
-	hv[airproto.HBNacked] = float64(s.nacked.Load())
-	hv[airproto.HBHeals] = float64(s.heals.Load())
+	hv[airproto.HBFleetSeq] = fleetSeq
+	hv[airproto.HBFleetNonce] = uint64(fleetNonce)
+	hv[airproto.HBEpochSeq] = s.epochSeq.Load()
+	hv[airproto.HBQueueDepth] = uint64(s.inflight.Load())
+	hv[airproto.HBServed] = uint64(s.served.Load())
+	hv[airproto.HBShed] = uint64(s.shed.Load())
+	hv[airproto.HBNacked] = uint64(s.nacked.Load())
+	hv[airproto.HBHeals] = uint64(s.heals.Load())
 	return hv
 }
 
@@ -508,8 +513,9 @@ func (s *airServer) startRequestTrace(f *airproto.Frame, rid, parent uint64) *tr
 }
 
 // traceFrame answers a KindTrace request: the retained trace's Chrome
-// JSON export packed into the vector payload (see airproto.PackBytes), or
-// a StatusNoTrace NACK when tracing is off or the ID is not retained.
+// JSON export, a StatusNoTrace NACK when tracing is off or the ID is not
+// retained, or a StatusTooLarge NACK (counted in serve.trace_too_large)
+// when the export does not fit one datagram.
 func (s *airServer) traceFrame(f *airproto.Frame) *airproto.Frame {
 	tr, flags := s.cfg.tracer.Get(trace.ID(f.TraceID()))
 	if tr == nil {
@@ -517,15 +523,42 @@ func (s *airServer) traceFrame(f *airproto.Frame) *airproto.Frame {
 	}
 	// The request's Code carries export flags: the normalize bit asks for
 	// deterministic timestamps, the form the stitch gate diffs byte-for-byte.
-	body := trace.MarshalJSON(tr, flags, trace.ExportOptions{
+	reply := airproto.TraceReply(f.ID, trace.MarshalJSON(tr, flags, trace.ExportOptions{
 		Normalize: f.Code&airproto.TraceFlagNormalize != 0,
-	})
-	data, n := airproto.PackBytes(body)
-	var code uint8
-	if n < len(body) {
-		code = airproto.StatusNoTrace // truncated: only the first n bytes fit
+	}))
+	if reply.IsNack() {
+		traceTooLargeCount.Inc()
 	}
-	return &airproto.Frame{Kind: airproto.KindTrace, Code: code, ID: f.ID, Label: int32(n), Data: data}
+	return reply
+}
+
+// answerControl answers one control-plane frame inline on the read loop:
+// stats are a handful of atomic loads, a trace fetch is a ring lookup plus
+// an export render, a heartbeat reply is atomic loads, and a chunk ack is a
+// copy. The one expensive case — the final chunk's apply — happens once
+// per fleet publication, and the kernel buffers data frames for the few
+// milliseconds it takes. Frames that need no answer (join replies, chunks
+// corrupted in flight) get none.
+func (s *airServer) answerControl(conn udpWriter, to *net.UDPAddr, f *airproto.Frame) {
+	var reply *airproto.Frame
+	switch f.Kind {
+	case airproto.KindStats:
+		reply = s.statsFrame(f.ID)
+	case airproto.KindTrace:
+		reply = s.traceFrame(f)
+	default:
+		reply, _ = s.fleetAgent.HandleFrame(f)
+	}
+	if reply == nil {
+		return
+	}
+	out, err := reply.Marshal()
+	if err == nil {
+		_, err = conn.WriteToUDP(out, to)
+	}
+	if err != nil {
+		s.cfg.logf("control reply to %s: %v", to, err)
+	}
 }
 
 // serve answers frames on conn until the connection is closed (the caller
@@ -623,42 +656,12 @@ func (s *airServer) serve(conn netchaos.PacketConn) error {
 			continue // never answer a status frame with a status frame
 		}
 		// A router-forwarded data frame carries its distributed-trace context
-		// as trailing samples under KindDataTraced — which sorts ABOVE
-		// KindHeartbeat, so the strip (restoring KindData) must happen before
-		// the fleet-control dispatch or the frame would be swallowed there.
+		// as its payload under KindDataTraced; the strip restores KindData,
+		// so it must happen before the control dispatch or the frame would
+		// be swallowed there.
 		rid, parentSpan, _ := airproto.StripTraceContext(frame)
-		if frame.Kind >= airproto.KindHeartbeat {
-			// Fleet-control frames (router heartbeats, chunked epoch pushes,
-			// join replies) are answered inline: a heartbeat reply is a
-			// handful of atomic loads and a chunk ack is a copy. The one
-			// expensive case — the final chunk's apply — happens once per
-			// fleet publication, and the kernel buffers data frames for the
-			// few milliseconds it takes.
-			if resp, ok := s.fleetAgent.HandleFrame(frame); ok {
-				if out, err := resp.Marshal(); err == nil {
-					if _, err := conn.WriteToUDP(out, from); err != nil {
-						s.cfg.logf("fleet reply to %s: %v", from, err)
-					}
-				}
-			}
-			continue
-		}
-		if frame.Kind == airproto.KindStats {
-			// Counter reads are cheap; answer inline off the read loop.
-			if out, err := s.statsFrame(frame.ID).Marshal(); err == nil {
-				if _, err := conn.WriteToUDP(out, from); err != nil {
-					s.cfg.logf("stats reply to %s: %v", from, err)
-				}
-			}
-			continue
-		}
-		if frame.Kind == airproto.KindTrace {
-			// A ring lookup plus an export render; also off the read loop.
-			if out, err := s.traceFrame(frame).Marshal(); err == nil {
-				if _, err := conn.WriteToUDP(out, from); err != nil {
-					s.cfg.logf("trace reply to %s: %v", from, err)
-				}
-			}
+		if frame.Kind != airproto.KindData {
+			s.answerControl(conn, from, frame)
 			continue
 		}
 		// Adaptive admission: everything above this point — fleet control,

@@ -1,14 +1,16 @@
 // Package airproto is the little UDP wire protocol the deployment demos
 // speak: fixed little-endian frames carrying complex vectors — modulated
 // symbols on the uplink (sensor → air), per-class accumulators on the
-// downlink (air → edge). One datagram per transmission keeps the protocol
-// as dumb as the commodity IoT transmitters the paper targets.
+// downlink (air → edge) — and, for the control plane, raw bytes. One
+// datagram per transmission keeps the protocol as dumb as the commodity IoT
+// transmitters the paper targets.
 //
 // Frame layout (little endian):
 //
-//	uint8   kind     KindData, KindNack, KindStats, KindTrace, or one of
-//	                 the fleet kinds (KindHeartbeat, KindJoin,
-//	                 KindEpochPush, KindEpochAck — see fleet.go)
+//	uint8   kind     KindData, KindNack, KindDataTraced, or a control kind
+//	                 (KindStats, KindTrace, and the fleet kinds
+//	                 KindHeartbeat, KindJoin, KindEpochPush, KindEpochAck —
+//	                 see fleet.go)
 //	uint8   code     status code; on data frames, the client's remaining
 //	                 deadline budget in DeadlineUnit ticks (0 = no deadline)
 //	uint32  id       sample/transmission identifier
@@ -16,6 +18,14 @@
 //	                 nack: detail value (e.g. the deployed U for StatusWrongLen)
 //	uint16  n        vector length
 //	n × (float32 re, float32 im)
+//	payload          every byte after the samples (Frame.Payload)
+//
+// Data and NACK frames carry no payload (stray trailing bytes land in
+// Payload and are ignored). Control frames carry no samples
+// (n = 0): their payload starts with the protocol Version byte, followed
+// by the kind's typed little-endian fields. A payload whose version this
+// build does not speak fails Unmarshal with a *VersionError instead of
+// being misread.
 //
 // NACK frames give clients an explicit failure signal instead of silence:
 // a malformed or mis-sized request is answered with KindNack and a status
@@ -37,23 +47,22 @@ const (
 	// KindNack is a status/negative-acknowledgement frame; Code says why and
 	// Label carries the code-specific detail.
 	KindNack uint8 = 1
-	// KindStats is a serving-counter exchange: a client sends an empty
-	// KindStats frame and the server answers with one whose Data carries the
-	// StatsVector counters (real parts only) — served transmissions, heals,
-	// epoch swaps, rollbacks, canary rejections, and the current epoch
-	// sequence. It gives probes a health read without the HTTP sidecar.
+	// KindStats is a serving-counter exchange: a client sends StatsRequest
+	// and the server answers with StatsReply, whose body is an
+	// obs.EncodeSnapshot blob of its serving counters. It gives probes a
+	// health read without the HTTP sidecar.
 	KindStats uint8 = 2
-	// KindTrace is a retained-trace fetch: the client sends an empty
-	// KindTrace frame whose ID/Label fields carry the low/high halves of a
-	// 64-bit trace ID (see TraceRequest), and the server answers with one
-	// whose Data carries the trace's Chrome-format JSON export packed two
-	// bytes per complex sample (see PackBytes). A server with tracing
-	// disabled or no such retained trace answers KindNack/StatusNoTrace. It
-	// lets `metaai-serve -probe -trace <id>` pull a trace over the air when
-	// the HTTP sidecar is unreachable.
+	// KindTrace is a retained-trace fetch: the client sends TraceRequest
+	// naming a 64-bit trace ID, and the server answers with TraceReply,
+	// whose body is the trace's Chrome-format JSON export. A server with
+	// tracing disabled or no such retained trace answers
+	// KindNack/StatusNoTrace; an export too large for one datagram is
+	// answered KindNack/StatusTooLarge. It lets `metaai-serve -probe
+	// -trace <id>` pull a trace over the air when the HTTP sidecar is
+	// unreachable.
 	KindTrace uint8 = 3
-	// KindHeartbeat is the fleet router's liveness probe: an empty request,
-	// answered with the HBVector health gauges (see fleet.go).
+	// KindHeartbeat is the fleet router's liveness probe, answered with the
+	// HBVector health gauges (see fleet.go).
 	KindHeartbeat uint8 = 4
 	// KindJoin is a replica's membership announcement to the fleet router,
 	// sent from its serving socket so the source address doubles as the
@@ -65,14 +74,12 @@ const (
 	// KindEpochAck acknowledges a push chunk; the completing chunk's ack
 	// carries the apply verdict and canary agreement (see fleet.go).
 	KindEpochAck uint8 = 7
-	// KindDataTraced is a KindData frame carrying appended distributed-trace
-	// context (trace ID + parent span ID, see AttachTraceContext) — what a
-	// fleet router forwards when it is tracing the request, so the replica's
-	// serve.request span parents under the router's hop span. Replicas strip
-	// the context and process the rest as plain KindData; the reply is an
-	// ordinary KindData frame. Pre-fleet replicas reject the kind at
-	// Unmarshal, so a tracing router must only be pointed at replicas that
-	// speak it.
+	// KindDataTraced is a KindData frame whose payload carries
+	// distributed-trace context (trace ID + parent span ID, see
+	// AttachTraceContext) — what a fleet router forwards when it is tracing
+	// the request, so the replica's serve.request span parents under the
+	// router's hop span. Replicas strip the context and process the rest as
+	// plain KindData; the reply is an ordinary KindData frame.
 	KindDataTraced uint8 = 8
 )
 
@@ -81,18 +88,25 @@ const (
 // wire silently.
 const maxKind = KindDataTraced
 
-// StatsVector indexes the counters a KindStats response carries in Data.
-const (
-	StatServed = iota
-	StatHeals
-	StatSwaps
-	StatRollbacks
-	StatCanaryRejects
-	StatEpochSeq
-	StatShed
-	StatExpired
-	StatsVectorLen
-)
+// isControl reports whether kind is a control kind: no samples, a
+// versioned byte payload.
+func isControl(kind uint8) bool {
+	return kind == KindStats || kind == KindTrace || (kind >= KindHeartbeat && kind <= KindEpochAck)
+}
+
+// Version is the control-payload protocol version: the first payload byte
+// of every control frame.
+const Version uint8 = 1
+
+// VersionError reports a control frame whose payload speaks a protocol
+// version this build does not.
+type VersionError struct {
+	Kind, Got uint8
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("airproto: kind %d payload version %d, want %d", e.Kind, e.Got, Version)
+}
 
 // Status codes carried by NACK frames.
 const (
@@ -121,14 +135,22 @@ const (
 	// carries a suggested wait in milliseconds before retrying. The request
 	// was well-formed — back off at least the hint, then retry.
 	StatusRetryAfter uint8 = 6
+	// StatusTooLarge: the answer exists but does not fit one datagram (a
+	// trace export past MaxDatagram); the NACK's Label carries the answer's
+	// byte length. Not retryable over the wire — fetch it from the HTTP
+	// sidecar instead.
+	StatusTooLarge uint8 = 7
 )
 
 // HeaderLen is the byte length of the fixed frame header.
 const HeaderLen = 12
 
-// MaxVector is the largest vector a single frame can carry (bounded by the
-// uint16 length field and a 64 KiB datagram).
-const MaxVector = (65535 - HeaderLen) / 8
+// MaxDatagram is the largest frame on the wire: the largest UDP payload an
+// IPv4 datagram carries.
+const MaxDatagram = 65507
+
+// MaxVector is the largest vector a single frame can carry.
+const MaxVector = (MaxDatagram - HeaderLen) / 8
 
 // Frame is one protocol message.
 type Frame struct {
@@ -137,6 +159,9 @@ type Frame struct {
 	ID    uint32
 	Label int32
 	Data  []complex128
+	// Payload is the raw bytes after the samples: the versioned typed
+	// fields of a control frame, or the trace context of KindDataTraced.
+	Payload []byte
 }
 
 // Nack builds a status frame answering request id with the given code;
@@ -148,9 +173,37 @@ func Nack(id uint32, code uint8, detail int32) *Frame {
 // IsNack reports whether the frame is a status/negative acknowledgement.
 func (f *Frame) IsNack() bool { return f.Kind == KindNack }
 
+// validate checks the frame shape both directions agree on: a known kind,
+// a frame that fits one datagram (which bounds the vector at MaxVector),
+// control frames with no samples and a payload in this build's version,
+// and a traced data frame with exactly its trace context.
+func validate(kind uint8, n int, payload []byte) error {
+	if kind > maxKind {
+		return fmt.Errorf("airproto: unknown frame kind %d", kind)
+	}
+	if size := HeaderLen + 8*n + len(payload); size > MaxDatagram {
+		return fmt.Errorf("airproto: %d-byte frame exceeds the %d-byte datagram", size, MaxDatagram)
+	}
+	switch {
+	case isControl(kind):
+		if n != 0 {
+			return fmt.Errorf("airproto: control kind %d carries %d samples", kind, n)
+		}
+		if len(payload) == 0 {
+			return fmt.Errorf("airproto: control kind %d without a payload", kind)
+		}
+		if payload[0] != Version {
+			return &VersionError{Kind: kind, Got: payload[0]}
+		}
+	case kind == KindDataTraced && len(payload) != traceCtxLen:
+		return fmt.Errorf("airproto: traced data frame with %d context bytes, want %d", len(payload), traceCtxLen)
+	}
+	return nil
+}
+
 // Marshal serializes the frame.
 func (f *Frame) Marshal() ([]byte, error) {
-	return f.MarshalAppend(make([]byte, 0, HeaderLen+8*len(f.Data)))
+	return f.MarshalAppend(make([]byte, 0, HeaderLen+8*len(f.Data)+len(f.Payload)))
 }
 
 // MarshalAppend serializes the frame onto buf and returns the extended
@@ -158,11 +211,8 @@ func (f *Frame) Marshal() ([]byte, error) {
 // that recycle a scratch buffer (pass buf[:0] to overwrite it). The wire
 // bytes are identical to Marshal's.
 func (f *Frame) MarshalAppend(buf []byte) ([]byte, error) {
-	if len(f.Data) > MaxVector {
-		return nil, fmt.Errorf("airproto: vector length %d exceeds %d", len(f.Data), MaxVector)
-	}
-	if f.Kind > maxKind {
-		return nil, fmt.Errorf("airproto: unknown frame kind %d", f.Kind)
+	if err := validate(f.Kind, len(f.Data), f.Payload); err != nil {
+		return nil, err
 	}
 	buf = append(buf, f.Kind, f.Code)
 	buf = binary.LittleEndian.AppendUint32(buf, f.ID)
@@ -172,10 +222,12 @@ func (f *Frame) MarshalAppend(buf []byte) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(real(v))))
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(imag(v))))
 	}
-	return buf, nil
+	return append(buf, f.Payload...), nil
 }
 
-// Unmarshal parses one datagram into a frame.
+// Unmarshal parses one datagram into a frame. The frame owns its Data and
+// Payload: nothing aliases b, so callers may recycle the read buffer as
+// soon as Unmarshal returns.
 func Unmarshal(b []byte) (*Frame, error) {
 	if len(b) < HeaderLen {
 		return nil, fmt.Errorf("airproto: short frame (%d bytes)", len(b))
@@ -186,18 +238,19 @@ func Unmarshal(b []byte) (*Frame, error) {
 		ID:    binary.LittleEndian.Uint32(b[2:6]),
 		Label: int32(binary.LittleEndian.Uint32(b[6:10])),
 	}
-	if f.Kind > maxKind {
-		return nil, fmt.Errorf("airproto: unknown frame kind %d", f.Kind)
-	}
 	n := int(binary.LittleEndian.Uint16(b[10:12]))
-	if n > MaxVector {
-		return nil, fmt.Errorf("airproto: vector length %d exceeds %d", n, MaxVector)
-	}
-	if len(b) < HeaderLen+8*n {
+	off := HeaderLen + 8*n
+	if len(b) < off {
 		return nil, fmt.Errorf("airproto: truncated frame: %d bytes for n=%d", len(b), n)
 	}
+	if err := validate(f.Kind, n, b[off:]); err != nil {
+		return nil, err
+	}
+	if len(b) > off {
+		f.Payload = append([]byte(nil), b[off:]...)
+	}
 	f.Data = make([]complex128, n)
-	off := HeaderLen
+	off = HeaderLen
 	for i := range f.Data {
 		re := math.Float32frombits(binary.LittleEndian.Uint32(b[off : off+4]))
 		im := math.Float32frombits(binary.LittleEndian.Uint32(b[off+4 : off+8]))
@@ -205,4 +258,28 @@ func Unmarshal(b []byte) (*Frame, error) {
 		off += 8
 	}
 	return f, nil
+}
+
+// control starts a control payload: the version byte, with room for n more.
+func control(n int) []byte {
+	return append(make([]byte, 0, 1+n), Version)
+}
+
+// Body returns a control frame's payload after the version byte — the
+// opaque blob of a stats or trace reply (nil on other frames).
+func (f *Frame) Body() []byte {
+	if !isControl(f.Kind) || len(f.Payload) == 0 {
+		return nil
+	}
+	return f.Payload[1:]
+}
+
+// StatsRequest builds a KindStats request.
+func StatsRequest(id uint32) *Frame {
+	return &Frame{Kind: KindStats, ID: id, Payload: control(0)}
+}
+
+// StatsReply answers stats request id with an obs.EncodeSnapshot blob.
+func StatsReply(id uint32, snapshot []byte) *Frame {
+	return &Frame{Kind: KindStats, ID: id, Payload: append(control(len(snapshot)), snapshot...)}
 }

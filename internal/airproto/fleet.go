@@ -4,37 +4,37 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Fleet control frames. The router/coordinator tier (internal/fleet) speaks
 // three more exchanges over the same dumb-datagram protocol the data path
 // uses, so a replica needs exactly one socket for serving, liveness, and
-// replication:
+// replication. Every payload below follows the Version byte, little endian:
 //
-//   - KindHeartbeat: the router pings each replica; the reply's Data carries
-//     the HBVector health gauges (fleet epoch, local epoch, queue depth, and
-//     the shed/NACK counters the router's failure detector folds into its
-//     suspicion score). An empty request, a small reply, no side effects.
+//   - KindHeartbeat: the router pings each replica with an empty (version
+//     only) payload; the reply carries the HBVector health gauges as u64s
+//     — fleet seq, epoch seq, fleet nonce, queue depth, served, shed,
+//     nacked, heals — optionally followed by the replica's
+//     obs.EncodeSnapshot blob, which the router merges into its fleet view.
 //
 //   - KindJoin: a replica announces itself to the router from its serving
 //     socket — the datagram's source address IS the address clients get
-//     routed to. Data[0] carries (fleet epoch seq, local journal seq); the
-//     router's reply echoes the frame with Data[0] = (router's current
-//     epoch seq, 0), so a stale replica learns immediately that a catch-up
-//     push is coming.
+//     routed to. The payload carries u64 fleet seq, u64 local journal seq,
+//     u32 fleet nonce; the router's reply carries its own current seq and
+//     incarnation nonce in the same layout, so a stale replica learns
+//     immediately that a catch-up push is coming.
 //
 //   - KindEpochPush / KindEpochAck: epoch replication. The payload is a
 //     sealed internal/checkpoint epoch — CRC envelope and all, so the wire
 //     format IS the journal format and a replica can journal what it
 //     applied byte-for-byte. Sealed epochs outgrow one datagram, so the
-//     push is chunked: every chunk frame carries (index, total) in Label,
-//     (chunk length, total length) in Data[0], (byte offset, coordinator
-//     incarnation nonce) in Data[1], and a CRC32 digest over headers and
-//     bytes in Data[2], with the chunk bytes packed two per complex sample
-//     behind it (PackBytes — small integers survive the float32 wire
-//     exactly). The replica acks every chunk; the
-//     ack for the final, completing chunk carries the apply verdict, the
-//     measured canary prediction agreement, and echoes the nonce.
+//     push is chunked: every chunk frame carries (index, total) in Label
+//     and u32 byte offset, u32 total length, u32 coordinator incarnation
+//     nonce, and a u32 CRC32 over headers and bytes in its payload, with
+//     the chunk bytes behind them. The replica acks every chunk with f64
+//     canary agreement, u64 applied fleet seq, and the u32 echoed nonce;
+//     only the final, completing chunk's ack carries a verdict.
 //
 // Chunks are idempotent and may arrive duplicated or out of order; the
 // (transfer ID, nonce) pair keys reassembly. The nonce exists because
@@ -74,89 +74,108 @@ const (
 	AckRejected uint8 = 2
 )
 
-// HBVector indexes the health gauges a KindHeartbeat reply carries in Data
-// (real parts). HBFleetSeq is the coordinator-assigned sequence of the last
-// replicated epoch the replica applied (0 until a push lands) — the fleet's
+// HBVector indexes the health gauges a KindHeartbeat reply carries.
+// HBFleetSeq is the coordinator-assigned sequence of the last replicated
+// epoch the replica applied (0 until a push lands) — the fleet's
 // convergence variable; HBEpochSeq is the replica's own journal sequence.
+// HBFleetNonce is the coordinator incarnation nonce stamped on that
+// replicated epoch (0 until a push lands): paired with HBFleetSeq it makes
+// the convergence variable unique across coordinator restarts, whose
+// transfer sequences both start at 1.
 const (
 	HBFleetSeq = iota
 	HBEpochSeq
+	HBFleetNonce
 	HBQueueDepth
 	HBServed
 	HBShed
 	HBNacked
 	HBHeals
-	// HBFleetNonce is the coordinator incarnation nonce stamped on the last
-	// replicated epoch the replica applied (0 until a push lands). Paired
-	// with HBFleetSeq it makes the convergence variable unique across
-	// coordinator restarts, whose transfer sequences both start at 1.
-	HBFleetNonce
 	HBVectorLen
 )
 
-// MaxChunkBytes is the largest sealed-epoch slice one push frame can carry:
-// two packed bytes per complex sample, three samples reserved for the
-// (length, total), (offset, nonce), and digest headers.
-const MaxChunkBytes = 2 * (MaxVector - 3)
+// hbReplyLen is a heartbeat reply's payload length before the optional
+// snapshot blob: the version byte and one u64 per gauge.
+const hbReplyLen = 1 + 8*HBVectorLen
 
-// Chunk header integers (offset, length, total length) and nonces ride
-// complex samples that Marshal encodes as float32, which represents
-// integers exactly only up to 2^24. MaxTransferBytes caps a chunked
-// transfer (and with it every offset) at that bound so the headers survive
-// the wire bit-exactly; NonceMask keeps incarnation nonces inside it.
+// Payload lengths of the other fixed-layout control frames, version byte
+// included.
 const (
-	MaxTransferBytes = 1 << 24
-	NonceMask        = 1<<24 - 1
+	joinLen     = 1 + 8 + 8 + 4
+	chunkHdrLen = 1 + 4*4
+	ackLen      = 1 + 8 + 8 + 4
 )
+
+// MaxChunkBytes is the largest sealed-epoch slice one push frame can carry.
+const MaxChunkBytes = MaxDatagram - HeaderLen - chunkHdrLen
 
 // Heartbeat builds the router's liveness ping.
 func Heartbeat(id uint32) *Frame {
-	return &Frame{Kind: KindHeartbeat, ID: id}
+	return &Frame{Kind: KindHeartbeat, ID: id, Payload: control(0)}
 }
 
-// HeartbeatReply builds a replica's answer: the HBVector gauges as real
-// parts. Short vectors are zero-padded to HBVectorLen so older replicas
-// stay readable when the vector grows.
-func HeartbeatReply(id uint32, health []float64) *Frame {
-	data := make([]complex128, HBVectorLen)
-	for i := 0; i < len(health) && i < HBVectorLen; i++ {
-		data[i] = complex(health[i], 0)
+// HeartbeatReply builds a replica's answer carrying the HBVector gauges
+// (missing entries encode as 0). A replica may append its obs snapshot
+// blob to the payload afterwards.
+func HeartbeatReply(id uint32, health []uint64) *Frame {
+	p := control(hbReplyLen - 1)
+	for i := 0; i < HBVectorLen; i++ {
+		var v uint64
+		if i < len(health) {
+			v = health[i]
+		}
+		p = binary.LittleEndian.AppendUint64(p, v)
 	}
-	return &Frame{Kind: KindHeartbeat, ID: id, Data: data}
+	return &Frame{Kind: KindHeartbeat, ID: id, Payload: p}
 }
 
-// HealthVector extracts the HBVector gauges from a heartbeat reply,
-// zero-padding short payloads.
-func (f *Frame) HealthVector() []float64 {
-	out := make([]float64, HBVectorLen)
-	for i := 0; i < len(f.Data) && i < HBVectorLen; i++ {
-		out[i] = real(f.Data[i])
+// IsHeartbeatReply tells a heartbeat reply from a ping.
+func (f *Frame) IsHeartbeatReply() bool {
+	return f.Kind == KindHeartbeat && len(f.Payload) >= hbReplyLen
+}
+
+// HealthVector extracts the HBVector gauges from a heartbeat reply (all
+// zero for any other frame).
+func (f *Frame) HealthVector() []uint64 {
+	out := make([]uint64, HBVectorLen)
+	if !f.IsHeartbeatReply() {
+		return out
+	}
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(f.Payload[1+8*i:])
 	}
 	return out
 }
 
+// HeartbeatSnapshot returns the obs snapshot blob a heartbeat reply
+// carries after its gauges (nil when it carries none).
+func (f *Frame) HeartbeatSnapshot() []byte {
+	if !f.IsHeartbeatReply() || len(f.Payload) == hbReplyLen {
+		return nil
+	}
+	return f.Payload[hbReplyLen:]
+}
+
 // Join builds a replica's membership announcement: the fleet epoch seq it
 // last applied (with the coordinator incarnation nonce that stamped it) and
-// its local journal seq, all as exact small-integer floats.
+// its local journal seq.
 func Join(id uint32, fleetSeq, localSeq uint64, fleetNonce uint32) *Frame {
-	return &Frame{Kind: KindJoin, ID: id, Data: []complex128{
-		complex(float64(fleetSeq), float64(localSeq)),
-		complex(float64(fleetNonce&NonceMask), 0),
-	}}
+	p := control(joinLen - 1)
+	p = binary.LittleEndian.AppendUint64(p, fleetSeq)
+	p = binary.LittleEndian.AppendUint64(p, localSeq)
+	p = binary.LittleEndian.AppendUint32(p, fleetNonce)
+	return &Frame{Kind: KindJoin, ID: id, Payload: p}
 }
 
 // JoinInfo extracts the (fleet, local) epoch sequences and the fleet
-// nonce from a join frame or a join reply (where the fleet slots carry the
-// router's current seq and incarnation).
+// nonce from a join frame or a join reply (where the fleet fields carry the
+// router's current seq and incarnation). A short payload decodes to zeros.
 func (f *Frame) JoinInfo() (fleetSeq, localSeq uint64, fleetNonce uint32) {
-	if len(f.Data) == 0 {
+	if f.Kind != KindJoin || len(f.Payload) < joinLen {
 		return 0, 0, 0
 	}
-	fleetSeq, localSeq = uint64(real(f.Data[0])), uint64(imag(f.Data[0]))
-	if len(f.Data) > 1 {
-		fleetNonce = uint32(real(f.Data[1]))
-	}
-	return fleetSeq, localSeq, fleetNonce
+	p := f.Payload[1:]
+	return binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:]), binary.LittleEndian.Uint32(p[16:])
 }
 
 // chunkDigest is the per-chunk integrity check: a CRC32 over every header
@@ -166,26 +185,25 @@ func (f *Frame) JoinInfo() (fleetSeq, localSeq uint64, fleetNonce uint32) {
 // tear a multi-chunk reassembly or land garbage bytes at a valid offset —
 // the receiver only discovers it when the sealed epoch's own CRC fails at
 // apply time, wasting the entire transfer.
-func chunkDigest(transfer uint32, mode uint8, index, total, offset, totalLen int, nonce uint32, chunk []byte) uint32 {
+func chunkDigest(transfer uint32, mode uint8, index, total int, offset, totalLen, nonce uint32, chunk []byte) uint32 {
 	var hdr [25]byte
 	binary.LittleEndian.PutUint32(hdr[0:], transfer)
 	hdr[4] = mode
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(index))
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(total))
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(offset))
-	binary.LittleEndian.PutUint32(hdr[17:], uint32(totalLen))
-	binary.LittleEndian.PutUint32(hdr[21:], nonce&NonceMask)
+	binary.LittleEndian.PutUint32(hdr[13:], offset)
+	binary.LittleEndian.PutUint32(hdr[17:], totalLen)
+	binary.LittleEndian.PutUint32(hdr[21:], nonce)
 	return crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, chunk)
 }
 
 // EpochChunk builds one replication chunk: slice index of total, carrying
 // chunk bytes at byte offset into a totalLen-byte sealed epoch, stamped
 // with the coordinator's incarnation nonce. The offset rides its own header
-// sample so reassembly never has to infer a stride — chunks of any size
-// land at their exact position even when duplicated or reordered. A third
-// header sample carries a CRC32 digest over headers and bytes, split into
-// float32-exact 24-bit + 8-bit halves, so a receiver can tell a chunk
-// mangled on the wire from a clean one and discard it for re-send.
+// field so reassembly never has to infer a stride — chunks of any size
+// land at their exact position even when duplicated or reordered. A CRC32
+// digest over headers and bytes lets a receiver tell a chunk mangled on
+// the wire from a clean one and discard it for re-send.
 func EpochChunk(transfer uint32, mode uint8, index, total int, chunk []byte, offset, totalLen int, nonce uint32) (*Frame, error) {
 	if len(chunk) > MaxChunkBytes {
 		return nil, fmt.Errorf("airproto: chunk of %d bytes exceeds %d", len(chunk), MaxChunkBytes)
@@ -193,25 +211,20 @@ func EpochChunk(transfer uint32, mode uint8, index, total int, chunk []byte, off
 	if index < 0 || total < 1 || index >= total || total > 0xffff {
 		return nil, fmt.Errorf("airproto: chunk index %d of %d out of range", index, total)
 	}
-	if offset < 0 || totalLen < 0 || offset+len(chunk) > totalLen {
+	if offset < 0 || totalLen < 0 || offset+len(chunk) > totalLen || uint64(totalLen) > math.MaxUint32 {
 		return nil, fmt.Errorf("airproto: chunk [%d, %d) outside %d-byte transfer", offset, offset+len(chunk), totalLen)
 	}
-	if totalLen > MaxTransferBytes {
-		return nil, fmt.Errorf("airproto: %d-byte transfer exceeds the %d-byte float32-exact cap", totalLen, MaxTransferBytes)
-	}
-	packed, _ := PackBytes(chunk)
-	crc := chunkDigest(transfer, mode, index, total, offset, totalLen, nonce, chunk)
-	data := make([]complex128, 3+len(packed))
-	data[0] = complex(float64(len(chunk)), float64(totalLen))
-	data[1] = complex(float64(offset), float64(nonce&NonceMask))
-	data[2] = complex(float64(crc&NonceMask), float64(crc>>24))
-	copy(data[3:], packed)
+	p := control(chunkHdrLen - 1 + len(chunk))
+	p = binary.LittleEndian.AppendUint32(p, uint32(offset))
+	p = binary.LittleEndian.AppendUint32(p, uint32(totalLen))
+	p = binary.LittleEndian.AppendUint32(p, nonce)
+	p = binary.LittleEndian.AppendUint32(p, chunkDigest(transfer, mode, index, total, uint32(offset), uint32(totalLen), nonce, chunk))
 	return &Frame{
-		Kind:  KindEpochPush,
-		Code:  mode,
-		ID:    transfer,
-		Label: int32(uint32(index)<<16 | uint32(total)),
-		Data:  data,
+		Kind:    KindEpochPush,
+		Code:    mode,
+		ID:      transfer,
+		Label:   int32(uint32(index)<<16 | uint32(total)),
+		Payload: append(p, chunk...),
 	}, nil
 }
 
@@ -221,64 +234,52 @@ func (f *Frame) ChunkInfo() (index, total int) {
 	return int(u >> 16), int(u & 0xffff)
 }
 
-// ChunkPayload extracts the chunk bytes, their byte offset, the transfer's
-// total byte length, and the coordinator nonce from a push frame. It
-// returns ok=false for a frame whose headers disagree with its payload — a
-// malformed or truncated chunk that must not enter reassembly — including
-// a total length past the float32-exact transfer cap, which can only be a
-// rounded or hostile header, and any frame whose CRC32 digest does not
-// match its headers and bytes: a chunk corrupted anywhere on the wire
-// (header byte, length field, payload sample) reads as not-a-chunk, and
-// the sender's stop-and-wait loop re-sends it like a drop.
+// ChunkPayload extracts the chunk bytes (aliasing the frame's payload),
+// their byte offset, the transfer's total byte length, and the coordinator
+// nonce from a push frame. It returns ok=false for a frame whose headers
+// disagree with its payload — a malformed or truncated chunk that must not
+// enter reassembly — and for any frame whose CRC32 digest does not match
+// its headers and bytes: a chunk corrupted anywhere on the wire (header
+// byte, length, payload) reads as not-a-chunk, and the sender's
+// stop-and-wait loop re-sends it like a drop.
 func (f *Frame) ChunkPayload() (chunk []byte, offset, totalLen int, nonce uint32, ok bool) {
-	if len(f.Data) < 3 {
+	if f.Kind != KindEpochPush || len(f.Payload) < chunkHdrLen {
 		return nil, 0, 0, 0, false
 	}
-	n := int(real(f.Data[0]))
-	totalLen = int(imag(f.Data[0]))
-	offset = int(real(f.Data[1]))
-	nonce = uint32(imag(f.Data[1])) & NonceMask
-	if n < 0 || offset < 0 || totalLen < 0 || totalLen > MaxTransferBytes ||
-		offset+n > totalLen || n > 2*(len(f.Data)-3) {
+	p := f.Payload[1:]
+	off, tl, nonce := binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:]), binary.LittleEndian.Uint32(p[8:])
+	chunk = f.Payload[chunkHdrLen:]
+	if uint64(off)+uint64(len(chunk)) > uint64(tl) {
 		return nil, 0, 0, 0, false
 	}
-	crc := uint32(real(f.Data[2]))&NonceMask | uint32(imag(f.Data[2]))<<24
-	chunk = UnpackBytes(f.Data[3:], n)
 	index, total := f.ChunkInfo()
-	if crc != chunkDigest(f.ID, f.Code, index, total, offset, totalLen, nonce, chunk) {
+	if binary.LittleEndian.Uint32(p[12:]) != chunkDigest(f.ID, f.Code, index, total, off, tl, nonce, chunk) {
 		return nil, 0, 0, 0, false
 	}
-	return chunk, offset, totalLen, nonce, true
+	return chunk, int(off), int(tl), nonce, true
 }
 
 // EpochAck builds a replica's chunk acknowledgement. For the completing
-// chunk, code carries the apply verdict, Data[0] the (agreement, applied
-// fleet seq) pair, and Data[1] echoes the transfer's coordinator nonce so
-// the sender can tell a fresh verdict from a cached one about another
-// incarnation's transfer; intermediate chunks ack with AckChunk and no
-// payload.
+// chunk, code carries the apply verdict; every ack carries the canary
+// agreement, the applied fleet seq, and echoes the transfer's coordinator
+// nonce, so the sender can tell a fresh verdict from a cached one about
+// another incarnation's transfer. Intermediate chunks ack with AckChunk.
 func EpochAck(transfer uint32, index int, code uint8, agreement float64, seq uint64, nonce uint32) *Frame {
-	f := &Frame{Kind: KindEpochAck, Code: code, ID: transfer, Label: int32(index)}
-	if code != AckChunk {
-		f.Data = []complex128{
-			complex(agreement, float64(seq)),
-			complex(float64(nonce&NonceMask), 0),
-		}
-	}
-	return f
+	p := control(ackLen - 1)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(agreement))
+	p = binary.LittleEndian.AppendUint64(p, seq)
+	p = binary.LittleEndian.AppendUint32(p, nonce)
+	return &Frame{Kind: KindEpochAck, Code: code, ID: transfer, Label: int32(index), Payload: p}
 }
 
 // AckInfo extracts the chunk index, canary agreement, applied fleet
-// sequence, and echoed nonce from an ack frame (all but the index are zero
-// on AckChunk).
+// sequence, and echoed nonce from an ack frame (a short payload decodes to
+// zeros).
 func (f *Frame) AckInfo() (index int, agreement float64, seq uint64, nonce uint32) {
 	index = int(f.Label)
-	if len(f.Data) > 0 {
-		agreement = real(f.Data[0])
-		seq = uint64(imag(f.Data[0]))
+	if f.Kind != KindEpochAck || len(f.Payload) < ackLen {
+		return index, 0, 0, 0
 	}
-	if len(f.Data) > 1 {
-		nonce = uint32(real(f.Data[1]))
-	}
-	return index, agreement, seq, nonce
+	p := f.Payload[1:]
+	return index, math.Float64frombits(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]), binary.LittleEndian.Uint32(p[16:])
 }

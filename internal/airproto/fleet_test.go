@@ -2,7 +2,15 @@ package airproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+)
+
+// Full-width values: every one sits past 2^24, the last integer a float32
+// sample could have carried exactly.
+const (
+	wideSeq   = uint64(1)<<40 + 12345
+	wideNonce = uint32(0xfedcba98)
 )
 
 func TestHeartbeatRoundTrip(t *testing.T) {
@@ -14,12 +22,18 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindHeartbeat || got.ID != 42 || len(got.Data) != 0 {
-		t.Fatalf("heartbeat lost fields: %+v", got)
+	if got.Kind != KindHeartbeat || got.ID != 42 || got.IsHeartbeatReply() {
+		t.Fatalf("heartbeat ping lost fields: %+v", got)
 	}
 
-	health := []float64{3, 17, 2, 1234, 5, 1, 2}
-	b, err = HeartbeatReply(42, health).Marshal()
+	health := make([]uint64, HBVectorLen)
+	for i := range health {
+		health[i] = wideSeq + uint64(i)
+	}
+	health[HBFleetNonce] = uint64(wideNonce)
+	reply := HeartbeatReply(42, health)
+	reply.Payload = append(reply.Payload, "obs snapshot"...)
+	b, err = reply.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,25 +41,29 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv := got.HealthVector()
-	if len(hv) != HBVectorLen {
-		t.Fatalf("health vector length %d, want %d", len(hv), HBVectorLen)
+	if !got.IsHeartbeatReply() {
+		t.Fatal("heartbeat reply read as a ping")
 	}
+	hv := got.HealthVector()
 	for i, v := range health {
 		if hv[i] != v {
-			t.Fatalf("health[%d] = %v, want %v", i, hv[i], v)
+			t.Fatalf("health[%d] = %d, want %d", i, hv[i], v)
 		}
 	}
-	// A short (older-replica) reply zero-pads instead of panicking.
-	short := HeartbeatReply(42, []float64{9})
-	short.Data = short.Data[:1]
-	if hv := short.HealthVector(); hv[HBFleetSeq] != 9 || hv[HBEpochSeq] != 0 {
-		t.Fatalf("short health vector mishandled: %v", hv)
+	if snap := got.HeartbeatSnapshot(); string(snap) != "obs snapshot" {
+		t.Fatalf("snapshot blob %q", snap)
+	}
+	// Without a blob, the reply carries none; a ping carries no gauges.
+	if snap := HeartbeatReply(42, health).HeartbeatSnapshot(); snap != nil {
+		t.Fatalf("blob-less reply yielded %q", snap)
+	}
+	if hv := Heartbeat(42).HealthVector(); len(hv) != HBVectorLen || hv[HBFleetSeq] != 0 {
+		t.Fatalf("ping decoded to gauges %v", hv)
 	}
 }
 
 func TestJoinRoundTrip(t *testing.T) {
-	b, err := Join(7, 12, 34, 0xabcde).Marshal()
+	b, err := Join(7, wideSeq, wideSeq+1, wideNonce).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +75,11 @@ func TestJoinRoundTrip(t *testing.T) {
 		t.Fatalf("join lost fields: %+v", got)
 	}
 	fs, ls, nonce := got.JoinInfo()
-	if fs != 12 || ls != 34 || nonce != 0xabcde {
-		t.Fatalf("join info (%d, %d, %#x), want (12, 34, 0xabcde)", fs, ls, nonce)
+	if fs != wideSeq || ls != wideSeq+1 || nonce != wideNonce {
+		t.Fatalf("join info (%d, %d, %#x), want (%d, %d, %#x)", fs, ls, nonce, wideSeq, wideSeq+1, wideNonce)
 	}
-	if fs, ls, nonce := (&Frame{Kind: KindJoin}).JoinInfo(); fs != 0 || ls != 0 || nonce != 0 {
+	if fs, ls, nonce := (&Frame{Kind: KindJoin, Payload: []byte{Version}}).JoinInfo(); fs != 0 || ls != 0 || nonce != 0 {
 		t.Fatalf("empty join decoded to (%d, %d, %d)", fs, ls, nonce)
-	}
-	// An older single-sample join (no nonce) still yields its sequences.
-	short := Join(7, 5, 6, 1)
-	short.Data = short.Data[:1]
-	if fs, ls, nonce := short.JoinInfo(); fs != 5 || ls != 6 || nonce != 0 {
-		t.Fatalf("nonce-less join decoded to (%d, %d, %d)", fs, ls, nonce)
 	}
 }
 
@@ -76,13 +88,16 @@ func TestEpochChunkRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	f, err := EpochChunk(99, PushCanary, 2, 5, payload, 600, 1500, 0xf0f0f0)
+	f, err := EpochChunk(99, PushCanary, 2, 5, payload, 600, 1500, wideNonce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := f.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(b) != HeaderLen+chunkHdrLen+len(payload) {
+		t.Fatalf("chunk of %d bytes costs %d wire bytes", len(payload), len(b))
 	}
 	got, err := Unmarshal(b)
 	if err != nil {
@@ -99,30 +114,35 @@ func TestEpochChunkRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("valid chunk rejected")
 	}
-	if offset != 600 || totalLen != 1500 || nonce != 0xf0f0f0 || !bytes.Equal(chunk, payload) {
+	if offset != 600 || totalLen != 1500 || nonce != wideNonce || !bytes.Equal(chunk, payload) {
 		t.Fatalf("chunk payload corrupted: offset %d, total %d, nonce %#x, %d bytes", offset, totalLen, nonce, len(chunk))
 	}
 }
 
-func TestEpochChunkNonceSurvivesFloat32(t *testing.T) {
-	// The nonce rides a float32 sample: every 24-bit value must round-trip
-	// bit-exactly, including the mask's edges.
-	for _, nonce := range []uint32{1, NonceMask, NonceMask - 1, 0x800001, 0xabcdef} {
-		f, err := EpochChunk(1, PushCommit, 0, 1, []byte{1}, 0, 1, nonce)
+func TestEpochChunkFullWidthHeaders(t *testing.T) {
+	// Offsets, lengths, nonces, and digests all cross the wire at their
+	// full 32-bit width.
+	sawWideCRC := false
+	for _, nonce := range []uint32{1, 1<<24 - 1, 1 << 24, 0xabcdef01, ^uint32(0)} {
+		off, total := 1<<25+3, 1<<26
+		f, err := EpochChunk(1<<30, PushCommit, 0, 1, []byte{1, 2}, off, total, nonce)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b, _ := f.Marshal()
 		got, _ := Unmarshal(b)
-		if _, _, _, n, ok := got.ChunkPayload(); !ok || n != nonce {
-			t.Fatalf("nonce %#x arrived as %#x (ok=%v)", nonce, n, ok)
+		_, o, tl, n, ok := got.ChunkPayload()
+		if !ok || n != nonce || o != off || tl != total {
+			t.Fatalf("chunk (offset %d, total %d, nonce %#x) arrived as (%d, %d, %#x) ok=%v", off, total, nonce, o, tl, n, ok)
 		}
+		sawWideCRC = sawWideCRC || binary.LittleEndian.Uint32(got.Payload[13:]) >= 1<<24
+	}
+	if !sawWideCRC {
+		t.Fatal("no digest past 2^24 exercised")
 	}
 }
 
 func TestEpochChunkOddLength(t *testing.T) {
-	// Odd byte counts pad the final imaginary slot; the length header must
-	// still recover the exact byte string.
 	f, err := EpochChunk(1, PushCommit, 0, 1, []byte{1, 2, 3}, 0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -148,32 +168,32 @@ func TestEpochChunkRejectsMalformed(t *testing.T) {
 	if _, err := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2}, 99, 100, 0); err == nil {
 		t.Error("chunk overrunning the transfer accepted")
 	}
-	// Transfers past the float32-exact cap would ship rounded offsets.
-	if _, err := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2}, 0, MaxTransferBytes+1, 0); err == nil {
-		t.Error("transfer beyond the float32-exact cap accepted")
+	// The largest chunk fills the datagram exactly.
+	f, err := EpochChunk(1, PushCommit, 0, 1, make([]byte, MaxChunkBytes), 0, MaxChunkBytes, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A frame whose length header claims more bytes than its payload holds
-	// must not enter reassembly.
-	f, _ := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2, 3, 4}, 0, 100, 0)
-	f.Data[0] = complex(50, 100) // claims 50 bytes, carries 4
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
-		t.Error("length-lying chunk accepted")
+	if b, err := f.Marshal(); err != nil || len(b) != MaxDatagram {
+		t.Fatalf("max chunk marshals to %d bytes (%v), want %d", len(b), err, MaxDatagram)
 	}
-	f.Data[0] = complex(4, 2) // total shorter than the chunk itself
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
+	// Headers that disagree with the bytes must not enter reassembly. The
+	// digest would catch these too; ChunkPayload refuses them on geometry
+	// before hashing.
+	lie := func(field int, v uint32) *Frame {
+		f, _ := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2, 3, 4}, 0, 100, 0)
+		binary.LittleEndian.PutUint32(f.Payload[1+4*field:], v)
+		return f
+	}
+	if _, _, _, _, ok := lie(1, 2).ChunkPayload(); ok {
 		t.Error("total-lying chunk accepted")
 	}
-	f.Data[0] = complex(4, 100)
-	f.Data[1] = complex(98, 0) // offset pushes the chunk past the transfer end
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
+	if _, _, _, _, ok := lie(0, 98).ChunkPayload(); ok {
 		t.Error("offset-lying chunk accepted")
 	}
-	f.Data[0] = complex(4, float64(MaxTransferBytes)+4096) // rounded/hostile total
-	f.Data[1] = complex(0, 0)
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
-		t.Error("over-cap total accepted on receive")
+	if _, _, _, _, ok := lie(0, ^uint32(0)).ChunkPayload(); ok {
+		t.Error("wrapping offset accepted")
 	}
-	if _, _, _, _, ok := (&Frame{Kind: KindEpochPush}).ChunkPayload(); ok {
+	if _, _, _, _, ok := (&Frame{Kind: KindEpochPush, Payload: []byte{Version}}).ChunkPayload(); ok {
 		t.Error("headerless chunk accepted")
 	}
 }
@@ -181,11 +201,11 @@ func TestEpochChunkRejectsMalformed(t *testing.T) {
 func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 	// Every field the digest covers: flipping any of them after build must
 	// make ChunkPayload refuse the frame, because a chunk corrupted in
-	// flight (airproto frames carry no payload checksum of their own) would
+	// flight (airproto frames carry no checksum of their own) would
 	// otherwise land garbage bytes at a valid offset or open a phantom
 	// transfer under a mangled ID.
 	build := func() *Frame {
-		f, err := EpochChunk(7, PushCommit, 1, 3, []byte{9, 8, 7, 6, 5}, 16, 48, 0xabcdef)
+		f, err := EpochChunk(7, PushCommit, 1, 3, []byte{9, 8, 7, 6, 5}, 16, 48, 0xabcdef12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +218,12 @@ func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 		{"transfer ID", func(f *Frame) { f.ID ^= 1 }},
 		{"push mode", func(f *Frame) { f.Code ^= 1 }},
 		{"chunk index/total", func(f *Frame) { f.Label ^= 1 << 16 }},
-		{"byte offset", func(f *Frame) { f.Data[1] = complex(real(f.Data[1])+2, imag(f.Data[1])) }},
-		{"nonce", func(f *Frame) { f.Data[1] = complex(real(f.Data[1]), imag(f.Data[1])+1) }},
-		{"digest itself", func(f *Frame) { f.Data[2] = complex(real(f.Data[2])+1, imag(f.Data[2])) }},
-		{"payload byte", func(f *Frame) { f.Data[3] = complex(real(f.Data[3])+1, imag(f.Data[3])) }},
-		{"truncated payload", func(f *Frame) { f.Data = f.Data[:len(f.Data)-1]; f.Data[0] = complex(2, 48) }},
+		{"byte offset", func(f *Frame) { f.Payload[1] += 2 }},
+		{"total length", func(f *Frame) { f.Payload[5]++ }},
+		{"nonce", func(f *Frame) { f.Payload[9] ^= 1 }},
+		{"digest itself", func(f *Frame) { f.Payload[13] ^= 1 }},
+		{"payload byte", func(f *Frame) { f.Payload[chunkHdrLen] ^= 1 }},
+		{"truncated payload", func(f *Frame) { f.Payload = f.Payload[:len(f.Payload)-1] }},
 	}
 	for _, tc := range tampers {
 		f := build()
@@ -221,13 +242,12 @@ func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	if chunk, off, totalLen, nonce, ok := got.ChunkPayload(); !ok ||
-		off != 16 || totalLen != 48 || nonce != 0xabcdef || !bytes.Equal(chunk, []byte{9, 8, 7, 6, 5}) {
+		off != 16 || totalLen != 48 || nonce != 0xabcdef12 || !bytes.Equal(chunk, []byte{9, 8, 7, 6, 5}) {
 		t.Fatalf("clean chunk refused: %v (offset %d, total %d, nonce %#x, ok %v)", chunk, off, totalLen, nonce, ok)
 	}
 }
 
 func TestEpochAckRoundTrip(t *testing.T) {
-	// Intermediate chunk ack: no payload.
 	b, err := EpochAck(5, 3, AckChunk, 0, 0, 9).Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -236,15 +256,15 @@ func TestEpochAckRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindEpochAck || got.Code != AckChunk || len(got.Data) != 0 {
+	if got.Kind != KindEpochAck || got.Code != AckChunk {
 		t.Fatalf("chunk ack lost fields: %+v", got)
 	}
 	if idx, _, _, _ := got.AckInfo(); idx != 3 {
 		t.Fatalf("chunk ack index %d, want 3", idx)
 	}
 
-	// Completing ack: verdict plus (agreement, seq) and the echoed nonce.
-	b, err = EpochAck(5, 4, AckApplied, 0.875, 11, 0x1234).Marshal()
+	// Completing ack: verdict plus agreement, full-width seq and nonce.
+	b, err = EpochAck(5, 4, AckApplied, 0.875, wideSeq, wideNonce).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +273,7 @@ func TestEpochAckRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, agree, seq, nonce := got.AckInfo()
-	if got.Code != AckApplied || idx != 4 || agree != 0.875 || seq != 11 || nonce != 0x1234 {
+	if got.Code != AckApplied || idx != 4 || agree != 0.875 || seq != wideSeq || nonce != wideNonce {
 		t.Fatalf("final ack decoded to (%d, %v, %d, %#x, code %d)", idx, agree, seq, nonce, got.Code)
 	}
 }

@@ -1,8 +1,11 @@
 package airproto
 
 import (
+	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -11,13 +14,15 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if !AttachTraceContext(f, 0xdeadbeefcafef00d, 0x0123456789abcdef) {
 		t.Fatal("attach refused a well-formed data frame")
 	}
-	if f.Kind != KindDataTraced || len(f.Data) != len(payload)+traceCtxSamples {
-		t.Fatalf("attach produced kind=%d len=%d", f.Kind, len(f.Data))
+	if f.Kind != KindDataTraced || len(f.Data) != len(payload) || len(f.Payload) != traceCtxLen {
+		t.Fatalf("attach produced kind=%d len=%d ctx=%d", f.Kind, len(f.Data), len(f.Payload))
 	}
-	// The context must survive the float32 wire format bit-exactly.
 	wire, err := f.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(wire) != HeaderLen+8*len(payload)+traceCtxLen {
+		t.Fatalf("traced frame costs %d wire bytes", len(wire))
 	}
 	g, err := Unmarshal(wire)
 	if err != nil {
@@ -30,8 +35,8 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if tid != 0xdeadbeefcafef00d || parent != 0x0123456789abcdef {
 		t.Fatalf("context mangled: trace=%x parent=%x", tid, parent)
 	}
-	if g.Kind != KindData || !reflect.DeepEqual(g.Data, payload) {
-		t.Fatalf("strip did not restore the original frame: kind=%d data=%v", g.Kind, g.Data)
+	if g.Kind != KindData || g.Payload != nil || !reflect.DeepEqual(g.Data, payload) {
+		t.Fatalf("strip did not restore the original frame: kind=%d data=%v payload=%x", g.Kind, g.Data, g.Payload)
 	}
 }
 
@@ -42,64 +47,82 @@ func TestTraceContextRefusals(t *testing.T) {
 	if AttachTraceContext(&Frame{Kind: KindData}, 0, 2) {
 		t.Fatal("attach accepted a zero trace ID")
 	}
-	full := &Frame{Kind: KindData, Data: make([]complex128, MaxVector-traceCtxSamples+1)}
+	full := &Frame{Kind: KindData, Data: make([]complex128, MaxVector)}
 	if AttachTraceContext(full, 1, 2) {
-		t.Fatal("attach overflowed MaxVector")
+		t.Fatal("attach overflowed the datagram")
 	}
-	if full.Kind != KindData || len(full.Data) != MaxVector-traceCtxSamples+1 {
+	if full.Kind != KindData || full.Payload != nil {
 		t.Fatal("refused attach still mutated the frame")
 	}
 	if _, _, ok := StripTraceContext(&Frame{Kind: KindData, Data: make([]complex128, 16)}); ok {
 		t.Fatal("strip accepted a plain data frame")
 	}
-	short := &Frame{Kind: KindDataTraced, Data: make([]complex128, traceCtxSamples-1)}
+	short := &Frame{Kind: KindDataTraced, Payload: make([]byte, traceCtxLen-1)}
 	if _, _, ok := StripTraceContext(short); ok {
 		t.Fatal("strip accepted an under-length traced frame")
 	}
+	if _, err := short.Marshal(); err == nil {
+		t.Fatal("under-length traced frame marshaled")
+	}
 }
 
-// TestStatsForwardCompat pins the versioning contract: a reply from a
-// NEWER build — more appended slots than this build knows about — still
-// decodes cleanly, with every legacy StatsVector index intact. Appending
-// is the only evolution the scheme allows precisely so this holds.
+// TestStatsForwardCompat pins the stats reply's evolution rule: it is an
+// obs snapshot keyed by name, so a reply from a newer build carrying
+// counters this build has never heard of still decodes, every known entry
+// intact. Only a new control-payload Version breaks compatibility, and
+// that fails loudly (TestVersionMismatchIsTypedError).
 func TestStatsForwardCompat(t *testing.T) {
-	// A hypothetical v3 reply: legacy counters, fleet slots, health
-	// samples, plus three future slots this build has no names for.
-	future := make([]complex128, FleetStatsVectorLen+2+3)
-	legacy := []float64{101, 2, 3, 1, 1, 9, 4, 5}
-	if len(legacy) != StatsVectorLen {
-		t.Fatalf("test vector drifted: %d legacy slots", len(legacy))
+	future := obs.Snapshot{
+		Counters: map[string]int64{"serve.served": 101, "serve.some_future_counter": 7},
+		Gauges:   map[string]float64{"serve.epoch_seq": 9, "fleet.some_future_gauge": 0.5},
 	}
-	for i, v := range legacy {
-		future[i] = complex(v, 0)
-	}
-	future[FleetStatLive] = complex(2, 0)
-	future[FleetStatReplicas] = complex(2, 0)
-	f := &Frame{Kind: KindStats, Code: StatsVersionFleet + 1, ID: 9, Data: future}
-	wire, err := f.Marshal()
+	b, err := StatsReply(9, obs.EncodeSnapshot(future)).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Unmarshal(wire)
+	g, err := Unmarshal(b)
 	if err != nil {
-		t.Fatalf("future stats reply failed to decode: %v", err)
+		t.Fatalf("stats reply failed to decode: %v", err)
 	}
-	// The legacy read every existing probe performs: bounds check against
-	// StatsVectorLen, then indexed reads.
-	if len(g.Data) < StatsVectorLen {
-		t.Fatalf("future reply shorter than the legacy vector: %d", len(g.Data))
+	snap, err := obs.DecodeSnapshot(g.Body())
+	if err != nil {
+		t.Fatalf("stats body failed to decode: %v", err)
 	}
-	for i, want := range legacy {
-		if got := real(g.Data[i]); got != want {
-			t.Fatalf("legacy slot %d misindexed: got %g want %g", i, got, want)
+	if snap.Counters["serve.served"] != 101 || snap.Gauges["serve.epoch_seq"] != 9 {
+		t.Fatalf("known entries lost: %+v", snap)
+	}
+	if len(StatsRequest(9).Body()) != 0 {
+		t.Fatal("stats request carries a body")
+	}
+}
+
+// TestVersionMismatchIsTypedError: a control payload from a different
+// protocol version is refused with *VersionError at Unmarshal — never
+// parsed with this build's field layout — and so is a control frame that
+// lost its version byte or smuggles samples.
+func TestVersionMismatchIsTypedError(t *testing.T) {
+	for _, f := range []*Frame{
+		StatsRequest(1), StatsReply(1, []byte("x")), TraceRequest(1, 2), Heartbeat(1),
+		HeartbeatReply(1, []uint64{1, 2, 3}), Join(1, 2, 3, 4), EpochAck(1, 2, AckApplied, 1, 3, 4),
+	} {
+		b, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[HeaderLen] = Version + 1
+		_, err = Unmarshal(b)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Kind != f.Kind || ve.Got != Version+1 {
+			t.Fatalf("kind %d with version %d decoded to err %v, want *VersionError", f.Kind, Version+1, err)
+		}
+		if _, err := Unmarshal(b[:HeaderLen]); err == nil {
+			t.Fatalf("kind %d without a version byte accepted", f.Kind)
+		}
+		if _, err := (&Frame{Kind: f.Kind, Payload: b[HeaderLen:]}).Marshal(); !errors.As(err, &ve) {
+			t.Fatalf("kind %d marshaled a foreign-version payload: %v", f.Kind, err)
 		}
 	}
-	// A versioned reader sees an unknown version and falls back to the
-	// highest prefix it understands — the fleet prefix is still intact.
-	if g.Code <= StatsVersionFleet {
-		t.Fatalf("test frame should carry a future version, got %d", g.Code)
-	}
-	if real(g.Data[FleetStatLive]) != 2 || real(g.Data[FleetStatReplicas]) != 2 {
-		t.Fatal("fleet slots misindexed in future reply")
+	if _, err := (&Frame{Kind: KindStats, Data: []complex128{1}, Payload: []byte{Version}}).Marshal(); err == nil {
+		t.Fatal("control frame with samples marshaled")
 	}
 }

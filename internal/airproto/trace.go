@@ -1,79 +1,76 @@
 package airproto
 
-// Over-the-air trace fetch. The frame layout was designed around
-// 32-bit-ID inference requests and float32 complex vectors; trace IDs are
-// 64-bit and trace exports are JSON bytes, so KindTrace rides the
-// existing fields with two conventions:
-//
-//   - The 64-bit trace ID splits across the header: ID carries the low 32
-//     bits, Label the high 32 (reinterpreted as uint32). TraceRequest and
-//     (*Frame).TraceID convert.
-//   - The JSON body packs two bytes per complex sample — one byte in the
-//     real part, one in the imaginary — as exact small-integer float32s
-//     (every integer in [0, 255] is exactly representable), so the bytes
-//     survive the float32 wire format bit-exactly. Label on the RESPONSE
-//     carries the byte length (odd lengths pad the final imaginary slot),
-//     and Code carries StatusNoTrace when the body had to be truncated to
-//     fit MaxVector. PackBytes/UnpackBytes convert.
-//
-// A two-bytes-per-sample payload spends 4× the wire bytes of the raw
-// JSON, but a full export still fits one datagram for typical span trees
-// (MaxVector samples ≈ 16 KiB of JSON), and no second payload format
-// enters the protocol.
+import "encoding/binary"
 
-// TraceRequest builds the KindTrace request frame for a 64-bit trace ID.
-func TraceRequest(id uint64) *Frame {
-	return &Frame{
-		Kind:  KindTrace,
-		ID:    uint32(id),
-		Label: int32(uint32(id >> 32)),
-	}
+// Over-the-air tracing. A KindTrace request's payload carries the 64-bit
+// trace ID it fetches, so the frame ID stays a per-request ID like every
+// other exchange's; the reply's body is the raw Chrome-format JSON export.
+// A forwarded data frame carries the router's trace context as its raw
+// 16-byte payload under KindDataTraced.
+
+// TraceFlagNormalize, set on a KindTrace REQUEST's Code field, asks the
+// responder to export with deterministic normalized timestamps
+// (trace.ExportOptions.Normalize) — the form CI gates diff byte-for-byte.
+// Responders ignore unknown bits, so the flag is forward-compatible.
+const TraceFlagNormalize uint8 = 1
+
+// TraceRequest builds request id's KindTrace fetch of a 64-bit trace ID.
+func TraceRequest(id uint32, traceID uint64) *Frame {
+	return &Frame{Kind: KindTrace, ID: id, Payload: binary.LittleEndian.AppendUint64(control(8), traceID)}
 }
 
-// TraceID reassembles the 64-bit trace ID a KindTrace frame addresses.
+// TraceID returns the 64-bit trace ID a KindTrace request fetches (0 for a
+// frame that names none).
 func (f *Frame) TraceID() uint64 {
-	return uint64(uint32(f.Label))<<32 | uint64(f.ID)
+	if f.Kind != KindTrace || len(f.Payload) != 1+8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(f.Payload[1:])
 }
 
-// MaxTraceBytes is the largest payload a single KindTrace response can
-// carry (two bytes per complex sample).
-const MaxTraceBytes = 2 * MaxVector
-
-// PackBytes packs an opaque byte payload into a complex vector, two bytes
-// per sample, truncating at MaxTraceBytes. It returns the vector and the
-// packed byte count (== len(b) unless truncated).
-func PackBytes(b []byte) ([]complex128, int) {
-	n := len(b)
-	if n > MaxTraceBytes {
-		n = MaxTraceBytes
+// TraceReply answers trace request id with a JSON export — or, when the
+// export cannot fit one datagram, with a StatusTooLarge NACK whose detail
+// is the export's byte length, so the client learns why instead of
+// receiving a cut document.
+func TraceReply(id uint32, doc []byte) *Frame {
+	if HeaderLen+1+len(doc) > MaxDatagram {
+		return Nack(id, StatusTooLarge, int32(len(doc)))
 	}
-	data := make([]complex128, (n+1)/2)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			data[i/2] = complex(float64(b[i]), 0)
-		} else {
-			data[i/2] = complex(real(data[i/2]), float64(b[i]))
-		}
-	}
-	return data, n
+	return &Frame{Kind: KindTrace, ID: id, Payload: append(control(len(doc)), doc...)}
 }
 
-// UnpackBytes reverses PackBytes: the first n bytes carried by the
-// vector. n beyond the vector's capacity is clamped.
-func UnpackBytes(data []complex128, n int) []byte {
-	if n < 0 {
-		n = 0
+// traceCtxLen is a KindDataTraced frame's payload: trace ID + parent span
+// ID, little endian.
+const traceCtxLen = 16
+
+// AttachTraceContext rewrites a KindData frame into KindDataTraced carrying
+// the 64-bit trace ID and parent span ID as its payload. It refuses
+// (returning false, frame untouched) on non-data frames, a zero trace ID,
+// or a vector too large to leave room for the context.
+func AttachTraceContext(f *Frame, traceID, parentSpan uint64) bool {
+	if f.Kind != KindData || traceID == 0 || HeaderLen+8*len(f.Data)+traceCtxLen > MaxDatagram {
+		return false
 	}
-	if max := 2 * len(data); n > max {
-		n = max
+	ctx := binary.LittleEndian.AppendUint64(make([]byte, 0, traceCtxLen), traceID)
+	f.Payload = binary.LittleEndian.AppendUint64(ctx, parentSpan)
+	f.Kind = KindDataTraced
+	return true
+}
+
+// StripTraceContext reverses AttachTraceContext: it removes the context,
+// restores Kind to KindData, and returns the carried trace ID and parent
+// span ID. ok is false (frame untouched) when f is not a well-formed
+// KindDataTraced frame.
+func StripTraceContext(f *Frame) (traceID, parentSpan uint64, ok bool) {
+	if f.Kind != KindDataTraced || len(f.Payload) != traceCtxLen {
+		return 0, 0, false
 	}
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			out[i] = byte(real(data[i/2]))
-		} else {
-			out[i] = byte(imag(data[i/2]))
-		}
+	traceID = binary.LittleEndian.Uint64(f.Payload)
+	if traceID == 0 {
+		return 0, 0, false
 	}
-	return out
+	parentSpan = binary.LittleEndian.Uint64(f.Payload[8:])
+	f.Payload = nil
+	f.Kind = KindData
+	return traceID, parentSpan, true
 }

@@ -6,15 +6,11 @@ import (
 )
 
 func TestTraceRequestIDRoundTrip(t *testing.T) {
-	for _, id := range []uint64{0, 1, 0xdeadbeefcafef00d, ^uint64(0)} {
-		f := TraceRequest(id)
-		if f.Kind != KindTrace {
-			t.Fatalf("kind = %d", f.Kind)
+	for i, id := range []uint64{0, 1, 0xdeadbeefcafef00d, ^uint64(0)} {
+		f := TraceRequest(uint32(i+1), id)
+		if f.Kind != KindTrace || f.ID != uint32(i+1) {
+			t.Fatalf("kind = %d, id = %d", f.Kind, f.ID)
 		}
-		if got := f.TraceID(); got != id {
-			t.Fatalf("TraceID round trip: got %x want %x", got, id)
-		}
-		// The split ID must survive the wire.
 		b, err := f.Marshal()
 		if err != nil {
 			t.Fatal(err)
@@ -23,69 +19,55 @@ func TestTraceRequestIDRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.TraceID() != id {
-			t.Fatalf("wire round trip: got %x want %x", g.TraceID(), id)
+		if g.TraceID() != id || g.ID != uint32(i+1) {
+			t.Fatalf("wire round trip: trace %x id %d, want %x id %d", g.TraceID(), g.ID, id, i+1)
 		}
 	}
 }
 
-func TestPackBytesRoundTripsThroughWire(t *testing.T) {
-	payloads := [][]byte{
+func TestControlBodyRoundTripsThroughWire(t *testing.T) {
+	bodies := [][]byte{
 		nil,
-		[]byte{0},
-		[]byte{255},
+		{0},
+		{255},
 		[]byte(`{"traceEvents":[{"name":"req","ph":"X"}]}`),
-		bytes.Repeat([]byte{0, 127, 255, 3}, 300), // even length
-		bytes.Repeat([]byte{9}, 301),              // odd length
+		bytes.Repeat([]byte{0, 127, 255, 3}, 300),
+		bytes.Repeat([]byte{9}, 301),
 	}
-	for _, p := range payloads {
-		data, n := PackBytes(p)
-		if n != len(p) {
-			t.Fatalf("packed %d of %d bytes", n, len(p))
-		}
-		f := &Frame{Kind: KindTrace, Label: int32(n), Data: data}
-		b, err := f.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := Unmarshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := UnpackBytes(g.Data, int(g.Label))
-		if !bytes.Equal(got, p) {
-			t.Fatalf("payload corrupted: got %q want %q", got, p)
+	for _, body := range bodies {
+		for _, f := range []*Frame{TraceReply(5, body), StatsReply(6, body)} {
+			b, err := f.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) != HeaderLen+1+len(body) {
+				t.Fatalf("%d-byte body costs %d wire bytes", len(body), len(b))
+			}
+			g, err := Unmarshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Body(); !bytes.Equal(got, body) {
+				t.Fatalf("kind %d body corrupted: got %q want %q", f.Kind, got, body)
+			}
 		}
 	}
 }
 
-func TestPackBytesTruncates(t *testing.T) {
-	big := bytes.Repeat([]byte{7}, MaxTraceBytes+100)
-	data, n := PackBytes(big)
-	if n != MaxTraceBytes {
-		t.Fatalf("packed %d, want cap %d", n, MaxTraceBytes)
+func TestTraceReplyTooLargeNacks(t *testing.T) {
+	fits := make([]byte, MaxDatagram-HeaderLen-1)
+	if f := TraceReply(3, fits); f.Kind != KindTrace {
+		t.Fatalf("a %d-byte export that fits was answered kind %d", len(fits), f.Kind)
 	}
-	if len(data) != MaxVector {
-		t.Fatalf("vector length %d, want %d", len(data), MaxVector)
-	}
-	if got := UnpackBytes(data, n); !bytes.Equal(got, big[:MaxTraceBytes]) {
-		t.Fatal("truncated payload corrupted")
-	}
-}
-
-func TestUnpackBytesClampsBogusLength(t *testing.T) {
-	data, _ := PackBytes([]byte{1, 2, 3})
-	if got := UnpackBytes(data, 100); len(got) != 4 {
-		t.Fatalf("clamp: got %d bytes, want 4 (vector capacity)", len(got))
-	}
-	if got := UnpackBytes(data, -5); len(got) != 0 {
-		t.Fatalf("negative length: got %d bytes", len(got))
+	big := make([]byte, len(fits)+1)
+	f := TraceReply(3, big)
+	if !f.IsNack() || f.Code != StatusTooLarge || f.ID != 3 || int(f.Label) != len(big) {
+		t.Fatalf("oversize export answered %+v, want a StatusTooLarge NACK carrying %d", f, len(big))
 	}
 }
 
 func TestKindTraceValidOnWireUnknownKindsStillRejected(t *testing.T) {
-	f := &Frame{Kind: KindTrace, ID: 1}
-	b, err := f.Marshal()
+	b, err := TraceRequest(1, 2).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/cplx"
 	"repro/internal/mts"
@@ -126,9 +127,11 @@ type Injector struct {
 	orig   *ota.Deployment // the healthy deployment, kept as the heal target
 	cur    *ota.Deployment // serving deployment: stuck-faulted, healed after Heal
 	stuck  map[int]uint8
-	layer  int // cascade layer the stuck atoms live on (0 = primary)
+	layer  int     // cascade layer the stuck atoms live on (0 = primary)
 	sigRMS float64 // healthy RMS |H|, the burst-power reference
-	healed bool
+	// healed is atomic because callers poll Healed() while the supervisor
+	// goroutine commits a heal.
+	healed atomic.Bool
 	// sabotage, when positive, makes PreviewHeal produce a deliberately
 	// regressive candidate (see SabotageHeal) — the test hook for the
 	// canary gate and the rollback supervisor.
@@ -223,7 +226,7 @@ func (in *Injector) Deployment() *ota.Deployment { return in.cur }
 func (in *Injector) StuckAtoms() map[int]uint8 { return in.stuck }
 
 // Healed reports whether Heal has run.
-func (in *Injector) Healed() bool { return in.healed }
+func (in *Injector) Healed() bool { return in.healed.Load() }
 
 // Session derives one faulted per-worker session over the current serving
 // deployment: src becomes the session's own random stream (exactly as
@@ -348,7 +351,7 @@ func (in *Injector) PreviewHealSpan(parent *trace.Span) (*ota.Deployment, error)
 // metrics advance. Like construction and Heal, commit is single-threaded —
 // call it from the supervisor goroutine that owns the injector.
 func (in *Injector) CommitHeal(d *ota.Deployment) {
-	in.healed = true
+	in.healed.Store(true)
 	in.cur = d
 	faultHeals.Inc()
 	faultResidual.Set(in.ResidualError())

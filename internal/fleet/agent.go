@@ -30,13 +30,6 @@ const (
 // retries the whole push and the replica must reassemble it for real.
 const ackCacheSize = 8
 
-// cachedAck is one completed transfer's final verdict, valid only for the
-// coordinator incarnation that ran the transfer.
-type cachedAck struct {
-	nonce uint32
-	ack   *airproto.Frame
-}
-
 // ApplyFunc installs one replicated epoch on the replica. sealed is the
 // complete sealed checkpoint exactly as the coordinator journaled it; mode
 // is the airproto push mode (PushCommit, PushCanary, PushRollback); tid is
@@ -52,7 +45,7 @@ type ApplyFunc func(sealed []byte, mode uint8, tid uint32) (agreement float64, e
 // the serving read loop — one socket carries data, liveness, and
 // replication.
 type Agent struct {
-	health func() []float64
+	health func() []uint64
 	apply  ApplyFunc
 
 	// fleetVer packs (incarnation nonce << 32 | transfer seq) of the last
@@ -63,24 +56,24 @@ type Agent struct {
 	// snapSource, when set, supplies an encoded obs.Snapshot blob
 	// (obs.EncodeSnapshot) to piggyback on heartbeat replies — the
 	// replica's contribution to the router's merged fleet snapshot. Nil
-	// (the default, and whenever observability is disabled) keeps replies
-	// byte-identical to the pre-obs-plane wire.
+	// (the default, and whenever observability is disabled) sends the
+	// gauges alone.
 	snapSource atomic.Pointer[func() []byte]
 
 	mu       sync.Mutex
 	reasm    *Reassembler
-	acks     map[uint32]cachedAck // final ack per completed transfer
+	acks     map[uint32]*airproto.Frame // final ack per completed transfer; it echoes its nonce
 	ackOrder []uint32
 }
 
 // NewAgent builds a replica agent. health supplies the HBVector gauges for
 // heartbeat replies; apply installs completed epoch transfers (nil refuses
 // every push — a heartbeat-only agent).
-func NewAgent(health func() []float64, apply ApplyFunc) *Agent {
+func NewAgent(health func() []uint64, apply ApplyFunc) *Agent {
 	if health == nil {
-		health = func() []float64 { return nil }
+		health = func() []uint64 { return nil }
 	}
-	return &Agent{health: health, apply: apply, reasm: NewReassembler(), acks: make(map[uint32]cachedAck)}
+	return &Agent{health: health, apply: apply, reasm: NewReassembler(), acks: make(map[uint32]*airproto.Frame)}
 }
 
 // FleetSeq returns the coordinator-assigned sequence of the last epoch this
@@ -109,12 +102,10 @@ func (a *Agent) SetSnapshotSource(src func() []byte) {
 	a.snapSource.Store(&src)
 }
 
-// attachSnapshot appends the snapshot blob (packed two bytes per sample,
-// like trace payloads) after the health vector and records its byte length
-// in Label. Routers older than the obs plane ignore both: they read only
-// the first HBVectorLen samples and never look at a heartbeat's Label. A
-// blob too big for the frame is skipped — liveness must never lose to
-// telemetry.
+// attachSnapshot appends the snapshot blob to the reply's payload, after
+// the health gauges. A blob too big for the datagram is skipped — liveness
+// must never lose to telemetry — and counted in fleet.snapshot_skipped,
+// since the router's fleet view then goes stale for this replica.
 func (a *Agent) attachSnapshot(reply *airproto.Frame) {
 	srcp := a.snapSource.Load()
 	if srcp == nil {
@@ -124,12 +115,11 @@ func (a *Agent) attachSnapshot(reply *airproto.Frame) {
 	if len(blob) == 0 {
 		return
 	}
-	samples, n := airproto.PackBytes(blob)
-	if n < len(blob) || len(reply.Data)+len(samples) > airproto.MaxVector {
+	if airproto.HeaderLen+len(reply.Payload)+len(blob) > airproto.MaxDatagram {
+		snapshotSkipped.Inc()
 		return
 	}
-	reply.Data = append(reply.Data, samples...)
-	reply.Label = int32(n)
+	reply.Payload = append(reply.Payload, blob...)
 }
 
 // HandleFrame processes one fleet-control frame and returns the reply to
@@ -139,7 +129,7 @@ func (a *Agent) attachSnapshot(reply *airproto.Frame) {
 func (a *Agent) HandleFrame(f *airproto.Frame) (*airproto.Frame, bool) {
 	switch f.Kind {
 	case airproto.KindHeartbeat:
-		if len(f.Data) > 0 {
+		if f.IsHeartbeatReply() {
 			return nil, false // a reply, not a ping; not ours to answer
 		}
 		reply := airproto.HeartbeatReply(f.ID, a.health())
@@ -170,10 +160,10 @@ func (a *Agent) handlePush(f *airproto.Frame) *airproto.Frame {
 		return nil
 	}
 	if cached, ok := a.acks[f.ID]; ok {
-		if cached.nonce == nonce {
+		if _, _, _, n := cached.AckInfo(); n == nonce {
 			// The transfer already completed; whatever chunk this is, the
 			// coordinator needs the verdict again.
-			return cached.ack
+			return cached
 		}
 		// Same transfer ID, different coordinator incarnation: a restarted
 		// coordinator reusing tid 1 for NEW bytes. The cached verdict says
@@ -213,7 +203,7 @@ func (a *Agent) finishTransfer(tid uint32, idx int, nonce uint32, code uint8, ag
 		delete(a.acks, a.ackOrder[0])
 		a.ackOrder = a.ackOrder[1:]
 	}
-	a.acks[tid] = cachedAck{nonce: nonce, ack: ack}
+	a.acks[tid] = ack
 	a.ackOrder = append(a.ackOrder, tid)
 	return ack
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/airproto"
+	"repro/internal/obs"
 )
 
 func TestAgentAnswersHeartbeat(t *testing.T) {
-	a := NewAgent(func() []float64 { return []float64{5, 9, 1} }, nil)
+	a := NewAgent(func() []uint64 { return []uint64{5, 9, 1} }, nil)
 	resp, ok := a.HandleFrame(airproto.Heartbeat(77))
 	if !ok || resp.Kind != airproto.KindHeartbeat || resp.ID != 77 {
 		t.Fatalf("heartbeat answered with %+v (ok=%v)", resp, ok)
@@ -18,7 +19,7 @@ func TestAgentAnswersHeartbeat(t *testing.T) {
 	if hv[airproto.HBFleetSeq] != 5 || hv[airproto.HBEpochSeq] != 9 {
 		t.Fatalf("health vector %v", hv)
 	}
-	// A heartbeat REPLY (non-empty data) is not ours to answer: replying
+	// A heartbeat REPLY (gauges aboard) is not ours to answer: replying
 	// would ping-pong between two replicas forever.
 	if _, ok := a.HandleFrame(resp); ok {
 		t.Fatal("agent answered a heartbeat reply")
@@ -151,11 +152,11 @@ func TestAgentIgnoresCorruptChunk(t *testing.T) {
 	}
 	var final *airproto.Frame
 	for i, f := range frames {
-		// Deliver a corrupted copy first: one payload sample off by one, as
-		// wire corruption would leave it after Unmarshal still parses.
+		// Deliver a corrupted copy first: one chunk byte flipped, as wire
+		// corruption would leave it after Unmarshal still parses.
 		bad := *f
-		bad.Data = append([]complex128(nil), f.Data...)
-		bad.Data[3] = complex(real(bad.Data[3])+1, imag(bad.Data[3]))
+		bad.Payload = append([]byte(nil), f.Payload...)
+		bad.Payload[len(bad.Payload)-1] ^= 0x10
 		if reply, ok := a.HandleFrame(&bad); ok || reply != nil {
 			t.Fatalf("corrupt chunk %d earned a reply: %+v", i, reply)
 		}
@@ -177,8 +178,8 @@ func TestAgentIgnoresCorruptChunk(t *testing.T) {
 	// must not evict its cached verdict: the next clean retransmit is still
 	// answered from cache, without re-applying.
 	bad := *frames[0]
-	bad.Data = append([]complex128(nil), frames[0].Data...)
-	bad.Data[1] = complex(real(bad.Data[1]), imag(bad.Data[1])+1) // nonce flipped in flight
+	bad.Payload = append([]byte(nil), frames[0].Payload...)
+	bad.Payload[9] ^= 1 // nonce flipped in flight
 	if reply, ok := a.HandleFrame(&bad); ok || reply != nil {
 		t.Fatalf("corrupt retransmit earned a reply: %+v", reply)
 	}
@@ -264,5 +265,33 @@ func TestAgentIgnoresJoinReplies(t *testing.T) {
 	a := NewAgent(nil, nil)
 	if _, ok := a.HandleFrame(airproto.Join(1, 2, 3, 4)); ok {
 		t.Fatal("agent answered a join frame")
+	}
+}
+
+// TestAgentSnapshotPiggybackAndSkip: a snapshot blob rides the heartbeat
+// reply after the gauges; one too large for the datagram is left off —
+// the gauges still go out — and counted in fleet.snapshot_skipped.
+func TestAgentSnapshotPiggybackAndSkip(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	blob := []byte("snapshot")
+	a := NewAgent(func() []uint64 { return []uint64{4} }, nil)
+	a.SetSnapshotSource(func() []byte { return blob })
+	resp, ok := a.HandleFrame(airproto.Heartbeat(1))
+	if !ok || !bytes.Equal(resp.HeartbeatSnapshot(), blob) {
+		t.Fatalf("snapshot not piggybacked: %+v", resp)
+	}
+	before := snapshotSkipped.Value()
+	blob = make([]byte, airproto.MaxDatagram)
+	resp, ok = a.HandleFrame(airproto.Heartbeat(2))
+	if !ok || resp.HeartbeatSnapshot() != nil || resp.HealthVector()[airproto.HBFleetSeq] != 4 {
+		t.Fatalf("oversize snapshot reply: %+v", resp)
+	}
+	if _, err := resp.Marshal(); err != nil {
+		t.Fatalf("reply without the snapshot does not marshal: %v", err)
+	}
+	if got := snapshotSkipped.Value() - before; got != 1 {
+		t.Fatalf("fleet.snapshot_skipped advanced by %d, want 1", got)
 	}
 }

@@ -22,20 +22,26 @@ import "repro/internal/obs"
 //	fleet.canary_rejects    publications stopped at the canary gate
 //	fleet.catchups          anti-entropy pushes to stale or rejoined replicas
 //	fleet.forward.seconds   client-observed forward latency through the router
+//	fleet.snapshot_skipped  heartbeat replies sent without the replica's obs
+//	                        snapshot because it would not fit the datagram
+//	fleet.trace_too_large   stitched trace fetches answered StatusTooLarge
+//	                        because the export would not fit one datagram
 var (
-	liveGauge      = obs.NewGauge("fleet.replicas.live")
-	suspectGauge   = obs.NewGauge("fleet.replicas.suspect")
-	evictedCount   = obs.NewCounter("fleet.replicas.evicted")
-	joinCount      = obs.NewCounter("fleet.joins")
-	forwardCount   = obs.NewCounter("fleet.forwards")
-	failoverCount  = obs.NewCounter("fleet.failovers")
-	hedgedWinCount = obs.NewCounter("fleet.hedged_wins")
-	shedCount      = obs.NewCounter("fleet.shed")
-	expiredCount   = obs.NewCounter("fleet.expired")
-	publishCount   = obs.NewCounter("fleet.publishes")
-	chunkCount     = obs.NewCounter("fleet.publish.chunks")
-	rollbackCount  = obs.NewCounter("fleet.rollbacks")
-	canaryRejects  = obs.NewCounter("fleet.canary_rejects")
-	catchupCount   = obs.NewCounter("fleet.catchups")
-	forwardSeconds = obs.NewLatencyHistogram("fleet.forward.seconds")
+	liveGauge       = obs.NewGauge("fleet.replicas.live")
+	suspectGauge    = obs.NewGauge("fleet.replicas.suspect")
+	evictedCount    = obs.NewCounter("fleet.replicas.evicted")
+	joinCount       = obs.NewCounter("fleet.joins")
+	forwardCount    = obs.NewCounter("fleet.forwards")
+	failoverCount   = obs.NewCounter("fleet.failovers")
+	hedgedWinCount  = obs.NewCounter("fleet.hedged_wins")
+	shedCount       = obs.NewCounter("fleet.shed")
+	expiredCount    = obs.NewCounter("fleet.expired")
+	publishCount    = obs.NewCounter("fleet.publishes")
+	chunkCount      = obs.NewCounter("fleet.publish.chunks")
+	rollbackCount   = obs.NewCounter("fleet.rollbacks")
+	canaryRejects   = obs.NewCounter("fleet.canary_rejects")
+	catchupCount    = obs.NewCounter("fleet.catchups")
+	forwardSeconds  = obs.NewLatencyHistogram("fleet.forward.seconds")
+	snapshotSkipped = obs.NewCounter("fleet.snapshot_skipped")
+	traceTooLarge   = obs.NewCounter("fleet.trace_too_large")
 )

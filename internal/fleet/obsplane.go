@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/airproto"
@@ -14,7 +16,7 @@ import (
 
 // The router's half of the fleet observability plane: merged fleet
 // metrics (from the obs.Snapshot blobs replicas piggyback on heartbeat
-// replies), versioned fleet-level KindStats answers, and stitched
+// replies), fleet-level KindStats answers, and stitched
 // cross-replica KindTrace fetches. KindStats and KindTrace are
 // CONTROL-PLANE traffic at the router exactly as they are at replicas:
 // Serve answers them itself, outside the inflight cap and the admission
@@ -64,58 +66,43 @@ func (r *Router) liveMembersSorted() []*member {
 	return out
 }
 
-// answerStats answers a KindStats request at the router with a
-// StatsVersionFleet reply: the legacy StatsVector slots carry fleet-wide
-// SUMS from the merged replica snapshots (so an old probe pointed at the
-// router still reads sensible totals at the same indexes), the FleetStats
-// slots carry router-level counters, merged p99, and burn rates, and one
-// health-score sample per live replica follows.
+// answerStats answers a KindStats request at the router with one
+// obs.EncodeSnapshot blob — the same encoding replicas answer with: the
+// merged replica counters plus the router's own fleet.* counters, and gauges
+// for the live replica count, the merged serve.request p99, the fast and
+// slow SLO burn rates, and one fleet.health.<name> score per live replica.
 func (r *Router) answerStats(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
 	merged, _ := r.FleetSnapshot()
 	live := r.liveMembersSorted()
-	data := make([]complex128, airproto.FleetStatsVectorLen, airproto.FleetStatsVectorLen+len(live))
-	ctr := func(slot int, name string) {
-		data[slot] = complex(float64(merged.Counters[name]), 0)
+	snap := obs.Snapshot{Counters: merged.Counters, Gauges: make(map[string]float64, 5+len(live))}
+	for name, v := range obs.Default().Snapshot().Counters {
+		if strings.HasPrefix(name, "fleet.") {
+			snap.Counters[name] += v // replicas count some fleet.* names too
+		}
 	}
-	ctr(airproto.StatServed, "serve.served")
-	ctr(airproto.StatHeals, "serve.heals")
-	ctr(airproto.StatSwaps, "serve.swaps")
-	ctr(airproto.StatRollbacks, "serve.rollbacks")
-	ctr(airproto.StatCanaryRejects, "serve.canary_rejects")
-	ctr(airproto.StatShed, "serve.shed")
-	ctr(airproto.StatExpired, "serve.expired")
-	data[airproto.StatEpochSeq] = complex(float64(r.CurrentTid()), 0)
-
-	data[airproto.FleetStatLive] = complex(float64(len(live)), 0)
-	data[airproto.FleetStatReplicas] = complex(float64(len(live)), 0)
-	data[airproto.FleetStatForwards] = complex(float64(forwardCount.Value()), 0)
-	data[airproto.FleetStatFailovers] = complex(float64(failoverCount.Value()), 0)
-	data[airproto.FleetStatHedgedWins] = complex(float64(hedgedWinCount.Value()), 0)
-	data[airproto.FleetStatShed] = complex(float64(shedCount.Value()), 0)
-	data[airproto.FleetStatExpired] = complex(float64(expiredCount.Value()), 0)
-	p99 := merged.Histograms["serve.request.seconds"].Quantile(0.99)
-	data[airproto.FleetStatP99Micros] = complex(p99*1e6, 0)
-	fast, slow := r.BurnRate()
-	data[airproto.FleetStatBurnFast] = complex(fast, 0)
-	data[airproto.FleetStatBurnSlow] = complex(slow, 0)
+	snap.Gauges["serve.epoch_seq"] = float64(r.CurrentTid())
+	snap.Gauges["fleet.replicas.live"] = float64(len(live))
+	snap.Gauges["fleet.request.p99_micros"] = merged.Histograms["serve.request.seconds"].Quantile(0.99) * 1e6
+	snap.Gauges["fleet.burn.fast"], snap.Gauges["fleet.burn.slow"] = r.BurnRate()
 	for _, m := range live {
-		data = append(data, complex(r.det.HealthScore(m.name), 0))
+		snap.Gauges["fleet.health."+m.name] = r.det.HealthScore(m.name)
 	}
-	r.writeTo(conn, from, &airproto.Frame{
-		Kind: airproto.KindStats,
-		Code: airproto.StatsVersionFleet,
-		ID:   f.ID,
-		Data: data,
-	})
+	r.writeTo(conn, from, airproto.StatsReply(f.ID, obs.EncodeSnapshot(snap)))
 }
 
 // answerTrace resolves a KindTrace fetch fleet-wide: the router's own
 // retained root segment (if any) plus every live replica's remote segment
-// of the same trace ID, stitched into ONE Chrome-JSON document. With no
-// router segment (tracing off at the router, or the trace sampled out)
-// the first replica segment found anchors the stitch, so the router
-// degrades into a fetch relay. The request's TraceFlagNormalize bit is
-// honored locally and propagated on the fan-out.
+// of the same trace ID, stitched into ONE Chrome-JSON document. The
+// replicas are asked concurrently, so a fetch waits one HeartbeatTimeout
+// for silent members, not one per member; segments are stitched in member
+// name order whatever order they arrive in. With no router segment
+// (tracing off at the router, or the trace sampled out) the first replica
+// segment found anchors the stitch, so the router degrades into a fetch
+// relay. The request's TraceFlagNormalize bit is honored locally and
+// propagated on the fan-out. A stitched document too large for one
+// datagram — or a replica segment that already was — is answered
+// StatusTooLarge and counted in fleet.trace_too_large, never stitched
+// without the missing segment.
 func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
 	id := f.TraceID()
 	opt := trace.ExportOptions{Normalize: f.Code&airproto.TraceFlagNormalize != 0}
@@ -123,17 +110,33 @@ func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *
 	if tr, flags := r.cfg.Tracer.Get(trace.ID(id)); tr != nil {
 		rootDoc = trace.MarshalJSON(tr, flags, opt)
 	}
+	live := r.liveMembersSorted()
+	replies := make([]*airproto.Frame, len(live))
+	var wg sync.WaitGroup
+	for i, m := range live {
+		wg.Add(1)
+		go func(i int, m *member) {
+			defer wg.Done()
+			replies[i] = r.fetchRemoteTrace(m, id, f.Code)
+		}(i, m)
+	}
+	wg.Wait()
 	var hopDocs [][]byte
-	for _, m := range r.liveMembersSorted() {
-		doc, ok := r.fetchRemoteTrace(m, id, f.Code)
-		if !ok {
-			continue
+	for _, rep := range replies {
+		if rep != nil && rep.IsNack() && rep.Code == airproto.StatusTooLarge {
+			traceTooLarge.Inc()
+			r.writeTo(conn, from, airproto.Nack(f.ID, airproto.StatusTooLarge, rep.Label))
+			return
 		}
+		if rep == nil || rep.Kind != airproto.KindTrace {
+			continue // silent, or StatusNoTrace: this replica holds no segment
+		}
+		doc := rep.Body()
 		dup := bytes.Equal(doc, rootDoc)
 		for _, seen := range hopDocs {
 			dup = dup || bytes.Equal(doc, seen)
 		}
-		if !dup { // a late duplicate reply can smear across fan-out slots
+		if !dup {
 			hopDocs = append(hopDocs, doc)
 		}
 	}
@@ -148,47 +151,36 @@ func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *
 	if len(hopDocs) > 0 {
 		doc = trace.StitchJSON(rootDoc, hopDocs...)
 	}
-	data, n := airproto.PackBytes(doc)
-	reply := &airproto.Frame{Kind: airproto.KindTrace, ID: f.ID, Label: int32(n), Data: data}
-	if n < len(doc) {
-		reply.Code = airproto.StatusNoTrace // truncated, same convention as replicas
+	reply := airproto.TraceReply(f.ID, doc)
+	if reply.IsNack() {
+		traceTooLarge.Inc()
 	}
 	r.writeTo(conn, from, reply)
 }
 
-// fetchRemoteTrace pulls one replica's segment of a trace over the
-// upstream socket. KindTrace replies echo the trace ID's low half as the
-// frame ID (the 64-bit ID rides ID+Label), so the exchange registers on
-// that — and because every replica's reply shares it, the fan-out runs
-// one member at a time.
-func (r *Router) fetchRemoteTrace(m *member, id uint64, code uint8) ([]byte, bool) {
-	req := airproto.TraceRequest(id)
+// fetchRemoteTrace asks one replica for its segment of a trace over the
+// upstream socket under a fresh request ID, returning its reply — the only
+// frame that can carry that ID — or nil when it stays silent for
+// HeartbeatTimeout.
+func (r *Router) fetchRemoteTrace(m *member, id uint64, code uint8) *airproto.Frame {
+	req := airproto.TraceRequest(r.newID(), id)
 	req.Code = code
 	ch := r.await(req.ID)
 	defer r.settle(req.ID)
 	out, err := req.Marshal()
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	if _, err := r.up.WriteToUDP(out, m.addr); err != nil {
-		return nil, false
+		return nil
 	}
 	timer := time.NewTimer(r.cfg.HeartbeatTimeout)
 	defer timer.Stop()
-	for {
-		select {
-		case f := <-ch:
-			if f.IsNack() {
-				return nil, false // StatusNoTrace: this replica holds no segment
-			}
-			if f.Kind != airproto.KindTrace || len(f.Data) == 0 {
-				continue // stale datagram matched the ID; keep waiting
-			}
-			return airproto.UnpackBytes(f.Data, int(f.Label)), true
-		case <-timer.C:
-			return nil, false
-		case <-r.stop:
-			return nil, false
-		}
+	select {
+	case f := <-ch:
+		return f
+	case <-timer.C:
+	case <-r.stop:
 	}
+	return nil
 }

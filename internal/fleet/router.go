@@ -105,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.InflightPerReplica <= 0 {
 		c.InflightPerReplica = 64
 	}
-	if c.ChunkBytes <= 0 || c.ChunkBytes > airproto.MaxChunkBytes {
-		c.ChunkBytes = DefaultChunkBytes
-	}
 	if c.PublishTimeout <= 0 {
 		c.PublishTimeout = 500 * time.Millisecond
 	}
@@ -146,7 +143,7 @@ type Router struct {
 	cfg Config
 	det *Detector
 	up  *net.UDPConn // upstream socket: heartbeats + forwarded requests
-	// incar is this coordinator incarnation's random 24-bit nonce, stamped
+	// incar is this coordinator incarnation's random 32-bit nonce, stamped
 	// on every push chunk and compared against the nonce replicas report
 	// back. It must differ across process restarts (so it is NOT derived
 	// from Config.Seed): transfer sequences restart from 1 with the process,
@@ -180,17 +177,18 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// newIncarnation draws a nonzero random 24-bit coordinator nonce. Entropy
-// comes from the OS, falling back to the wall clock — never from a config
-// seed, which a restarted process would reuse.
-func newIncarnation() uint32 {
+// newIncarnation draws a nonzero random 32-bit coordinator nonce from the
+// OS — never from a config seed, which a restarted process would reuse.
+func newIncarnation() (uint32, error) {
 	var b [4]byte
-	if _, err := crand.Read(b[:]); err == nil {
-		if n := binary.LittleEndian.Uint32(b[:]) & airproto.NonceMask; n != 0 {
-			return n
+	for {
+		if _, err := crand.Read(b[:]); err != nil {
+			return 0, fmt.Errorf("fleet: incarnation nonce: %w", err)
+		}
+		if n := binary.LittleEndian.Uint32(b[:]); n != 0 {
+			return n, nil
 		}
 	}
-	return uint32(time.Now().UnixNano())&airproto.NonceMask | 1
 }
 
 // NewRouter resolves the seed replicas, restores any journaled coordinator
@@ -201,10 +199,14 @@ func newIncarnation() uint32 {
 // and anti-entropy re-converges them onto the journaled epoch.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
+	incar, err := newIncarnation()
+	if err != nil {
+		return nil, err
+	}
 	r := &Router{
 		cfg:     cfg,
 		det:     NewDetector(cfg.Detector, rng.New(cfg.Seed^0xf1ee7)),
-		incar:   newIncarnation(),
+		incar:   incar,
 		ring:    NewRing(),
 		members: make(map[string]*member),
 		pend:    make(map[uint32]chan *airproto.Frame),
@@ -479,15 +481,14 @@ func (r *Router) heartbeat(m *member) {
 	defer timer.Stop()
 	select {
 	case f := <-ch:
-		if f.Kind == airproto.KindHeartbeat && len(f.Data) > 0 {
+		if f.IsHeartbeatReply() {
 			hv := f.HealthVector()
-			m.fleetVer.Store(uint64(hv[airproto.HBFleetNonce])<<32 | uint64(hv[airproto.HBFleetSeq]))
+			m.fleetVer.Store(hv[airproto.HBFleetNonce]<<32 | hv[airproto.HBFleetSeq])
 			// The reply may piggyback the replica's obs snapshot after the
-			// health vector (Label = blob byte length). A blob mangled in
-			// flight fails its CRC and is simply skipped — the member's last
-			// good snapshot stands until a clean one lands.
-			if f.Label > 0 && len(f.Data) > airproto.HBVectorLen {
-				blob := airproto.UnpackBytes(f.Data[airproto.HBVectorLen:], int(f.Label))
+			// gauges. A blob mangled in flight fails its CRC and is simply
+			// skipped — the member's last good snapshot stands until a clean
+			// one lands.
+			if blob := f.HeartbeatSnapshot(); blob != nil {
 				if snap, err := obs.DecodeSnapshot(blob); err == nil {
 					m.snap.Store(&snap)
 				}
@@ -725,10 +726,12 @@ func (r *Router) Serve(conn netchaos.PacketConn) error {
 }
 
 func (r *Router) writeTo(conn netchaos.PacketConn, to *net.UDPAddr, f *airproto.Frame) {
-	if out, err := f.Marshal(); err == nil {
-		if _, err := conn.WriteToUDP(out, to); err != nil {
-			r.cfg.Logf("fleet: reply to %s: %v", to, err)
-		}
+	out, err := f.Marshal()
+	if err == nil {
+		_, err = conn.WriteToUDP(out, to)
+	}
+	if err != nil {
+		r.cfg.Logf("fleet: reply to %s: %v", to, err)
 	}
 }
 
@@ -848,9 +851,8 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 		hopOpen = append(hopOpen, hop != nil)
 		starts = append(starts, time.Now())
 		if root != nil {
-			// Appending the context never aliases the original frame: the
-			// copy's Data shares f's full-capacity backing, so append
-			// reallocates. Refusals (oversize payload) just forward untraced.
+			// A refused attach (a vector too large to leave room for the
+			// context) forwards the frame untraced.
 			airproto.AttachTraceContext(&fwd, uint64(tid), uint64(hop.ID()))
 		}
 		out, err := fwd.Marshal()

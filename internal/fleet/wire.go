@@ -7,21 +7,20 @@ import (
 )
 
 // DefaultChunkBytes is the per-frame replication payload the coordinator
-// uses unless configured otherwise: comfortably under the airproto frame
-// cap, large enough that a typical sealed epoch ships in a handful of
-// datagrams.
-const DefaultChunkBytes = 8192
+// uses unless configured otherwise: half the airproto datagram cap, so a
+// typical sealed epoch ships in a handful of datagrams without any one of
+// them nearing the IPv4 size limit.
+const DefaultChunkBytes = 32 << 10
 
 // Reassembly guards: a replica holds at most maxTransfers concurrent
 // partial transfers and refuses any transfer claiming more than
 // maxTransferBytes — a malformed or hostile header must not make the
-// replica allocate unbounded buffers. The byte cap is airproto's
-// float32-exact bound (16 MiB): chunk header integers ride float32 samples
-// that are only exact below 2^24, so a larger transfer would ship rounded
-// offsets. Sealed epochs are a few MiB at most.
+// replica allocate unbounded buffers. Sealed epochs are a few MiB at most,
+// so 16 MiB bounds a replica's reassembly memory at 64 MiB with room to
+// spare.
 const (
 	maxTransfers     = 4
-	maxTransferBytes = airproto.MaxTransferBytes
+	maxTransferBytes = 16 << 20
 )
 
 // Chunks splits one sealed checkpoint epoch into ordered KindEpochPush
@@ -40,9 +39,6 @@ func Chunks(tid uint32, mode uint8, sealed []byte, chunkBytes int, nonce uint32)
 		chunkBytes = DefaultChunkBytes
 	}
 	total := (len(sealed) + chunkBytes - 1) / chunkBytes
-	if total > 0xffff {
-		return nil, fmt.Errorf("fleet: %d-byte epoch needs %d chunks of %d bytes (max %d)", len(sealed), total, chunkBytes, 0xffff)
-	}
 	frames := make([]*airproto.Frame, 0, total)
 	for i := 0; i < total; i++ {
 		off := i * chunkBytes

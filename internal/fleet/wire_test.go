@@ -156,3 +156,23 @@ func TestChunksRejectsEmptyAndOversized(t *testing.T) {
 		t.Fatal("oversized epoch chunked")
 	}
 }
+
+// TestReassemblerRejectsOverCapTotal: a chunk with a valid digest may claim
+// any u32 total; the reassembly cap refuses it before allocating a buffer
+// of that size.
+func TestReassemblerRejectsOverCapTotal(t *testing.T) {
+	f, err := airproto.EpochChunk(1, airproto.PushCommit, 0, 1, []byte{1}, 0, maxTransferBytes+1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, ok := f.ChunkPayload(); !ok {
+		t.Fatal("over-cap chunk failed its digest; the test no longer reaches the cap")
+	}
+	ra := NewReassembler()
+	if _, _, _, err := ra.Add(f); err == nil {
+		t.Fatal("over-cap transfer total accepted")
+	}
+	if len(ra.m) != 0 {
+		t.Fatal("over-cap transfer opened a reassembly buffer")
+	}
+}
